@@ -23,8 +23,8 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 #: ``results/BENCH_backend_matrix.json`` at the end of the session.
 BACKEND_MATRIX_QPS: dict[str, float] = {}
 
-#: Cluster-layer throughput (virtual requests/sec and simulator
-#: events/sec per replica policy), filled in by
+#: Cluster-layer throughput (virtual requests/sec and event counts per
+#: replica policy), filled in by
 #: ``benchmarks/test_cluster.py`` and written out as
 #: ``results/BENCH_cluster.json`` at the end of the session.
 CLUSTER_BENCH: dict[str, dict[str, float]] = {}
@@ -57,7 +57,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
 
     if BACKEND_MATRIX_QPS:
         RESULTS_DIR.mkdir(exist_ok=True)
-        payload = {"requests_per_sec": dict(sorted(BACKEND_MATRIX_QPS.items()))}
+        payload = {"virtual_requests_per_sec": dict(sorted(BACKEND_MATRIX_QPS.items()))}
         (RESULTS_DIR / "BENCH_backend_matrix.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
@@ -79,7 +79,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         for policy, stats in sorted(CLUSTER_BENCH.items()):
             terminalreporter.write_line(
                 f"  {policy:<18} {stats['virtual_qps']:12.1f} req/s (virtual)"
-                f"  {stats['events_per_sec']:12.1f} events/s (wall)"
+                f"  {stats['events_processed']:12.0f} events"
             )
         terminalreporter.write_line("  -> results/BENCH_cluster.json")
 

@@ -16,13 +16,7 @@ byte-identical :class:`~repro.cluster.metrics.ClusterResult`, faults
 included.
 """
 
-from repro.cluster.cluster import (
-    Cluster,
-    ClusterConfig,
-    cluster_digest,
-    cluster_perturbed,
-    run_cluster,
-)
+from repro.cluster.cluster import Cluster, ClusterConfig, run_cluster
 from repro.cluster.faults import (
     DIE_SLOWDOWN,
     FAULT_KINDS,
@@ -58,8 +52,6 @@ __all__ = [
     "PRIMARY",
     "SERVER_STALL",
     "build_policy",
-    "cluster_digest",
-    "cluster_perturbed",
     "run_cluster",
     "seeded_fault_schedule",
 ]

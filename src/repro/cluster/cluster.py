@@ -5,9 +5,9 @@ run — tenants (reusing :class:`repro.serve.server.TenantSpec`), server
 count, replication factor, vnode ring seed, replica policy, per-server
 interconnect backend, arbitration, fault schedule, seed.  Same config +
 seed => byte-identical :class:`~repro.cluster.metrics.ClusterResult`,
-faults included; :func:`cluster_perturbed` proves it by re-running
-under seeded tie-break shuffles, exactly like
-:func:`repro.serve.server.serve_perturbed` does for one server.
+faults included; :func:`repro.sim.racecheck.perturbed` proves it by
+re-running under seeded tie-break shuffles, exactly as it does for one
+server.
 
 Of the tenant QoS knobs, the cluster honours ``weight`` (per-node WRR
 arbitration share) and ``queue_depth`` (per-node ring size, block on
@@ -17,8 +17,6 @@ admission features that stay in :mod:`repro.serve`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.cluster.faults import FaultInjector, FaultSpec
@@ -30,7 +28,7 @@ from repro.cluster.router import Router
 from repro.config import SimConfig
 from repro.serve.engine import EventLoop
 from repro.serve.nvme_mq import ARBITERS
-from repro.serve.server import PerturbationReport, TenantSpec
+from repro.serve.server import TenantSpec
 from repro.sim import racecheck as racecheck_mod
 from repro.sim.racecheck import RaceChecker
 from repro.sim.stats import LatencyHistogram
@@ -242,37 +240,8 @@ def run_cluster(
     ).run()
 
 
-def cluster_digest(result: ClusterResult) -> str:
-    """sha256 of the canonical-JSON result (regression currency)."""
-    payload = json.dumps(result.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def cluster_perturbed(
-    config: ClusterConfig,
-    sim_config: SimConfig | None = None,
-    *,
-    seeds: tuple[int, ...] = tuple(range(1, 9)),
-) -> PerturbationReport:
-    """Prove (or refute) tie-break independence of a cluster run.
-
-    Same contract as :func:`repro.serve.server.serve_perturbed`: one
-    unperturbed run, one run per seed with simultaneous events shuffled
-    by seeded uniforms; a race-free cluster is byte-identical across
-    every seed — faults, hedges and cancellations included.
-    """
-    baseline = cluster_digest(run_cluster(config, sim_config))
-    digests = {
-        seed: cluster_digest(run_cluster(config, sim_config, tiebreak_seed=seed))
-        for seed in seeds
-    }
-    return PerturbationReport(baseline_digest=baseline, digests=digests)
-
-
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "cluster_digest",
-    "cluster_perturbed",
     "run_cluster",
 ]

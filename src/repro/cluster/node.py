@@ -1,13 +1,17 @@
 """One cluster storage server: its own SSD + HMB + rings, a shared loop.
 
-A :class:`ClusterNode` is the cluster-scale analogue of
-:class:`repro.serve.server.StorageServer`, stripped to the replica-read
-essentials and re-plumbed to share one wave+settle
-:class:`~repro.serve.engine.EventLoop` with its peers: each node owns a
-full :class:`~repro.system.StorageSystem` instance (its own device,
-HMB, fine-grained cache and mapping), per-tenant NVMe submission rings
-behind the WRR/RR arbiter, and its own host/channel/PCIe stage
-resources — contention is per-server, the timeline is cluster-wide.
+A :class:`ClusterNode` runs on the same
+:class:`~repro.serve.server.ServerCore` as the single-server
+:class:`~repro.serve.server.StorageServer`, on one wave+settle
+:class:`~repro.serve.engine.EventLoop` shared with its peers: each node
+owns a full :class:`~repro.system.StorageSystem` instance (its own
+device, HMB, fine-grained cache and mapping), per-tenant NVMe
+submission rings behind the WRR/RR arbiter, and its own host/channel/
+PCIe :class:`~repro.sim.queueing.StagePipeline` (FIFOs named
+``s0:host`` ...) — contention is per-server, the timeline is
+cluster-wide.  What the node adds to the core is cluster-only: settled
+admission of router attempts, stalls and fault factors, and dropping
+cancelled hedge losers at fetch time.
 
 Determinism plumbing mirrors the serving layer:
 
@@ -15,10 +19,11 @@ Determinism plumbing mirrors the serving layer:
   timestamp wave are buffered and pushed into the rings in stable
   ``order_key`` order at settle time, so ring content never depends on
   the tie-break order of the events that routed them;
-- **dispatch is settled**: the pump fetches from the arbiter only in
-  the settle phase, seeing every ring push and freed slot of the whole
-  wave, and stamps each dispatched attempt with a stable per-node
-  sequence that keys all stage contention downstream.
+- **dispatch is settled**: the core's pump fetches from the arbiter
+  only in the settle phase, seeing every ring push and freed slot of
+  the whole wave, and the node's stage pipeline stamps each dispatched
+  attempt with a stable per-node key for all stage contention
+  downstream.
 
 Faults (:mod:`repro.cluster.faults`) act here: a ``server_stall``
 freezes the pump (in-pipeline requests drain, rings back up), a
@@ -28,18 +33,14 @@ channel, a ``link_degrade`` multiplies every PCIe-stage service.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.faults import DIE_SLOWDOWN, LINK_DEGRADE, SERVER_STALL, FaultSpec
 from repro.cluster.metrics import ServerMetrics
 from repro.config import SimConfig
-from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
-from repro.serve.engine import EventLoop, FifoResource
-from repro.serve.nvme_mq import MultiQueueNvme
-from repro.system import StorageSystem, build_system
-from repro.workloads.trace import ReadOp, WriteOp
+from repro.serve.engine import EventLoop
+from repro.serve.server import ServerCore, ServerTenant
+from repro.sim.queueing import RequestDemand
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.router import Attempt
@@ -47,20 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.racecheck import RaceChecker
 
 
-class _NodeTenant:
-    """This node's view of one tenant: backlog, fds, ring handle."""
-
-    __slots__ = ("spec", "index", "backlog", "fds")
-
-    def __init__(self, spec: "TenantSpec", index: int) -> None:
-        self.spec = spec
-        self.index = index
-        #: Attempts admitted to the node but waiting for a ring slot.
-        self.backlog: deque["Attempt"] = deque()
-        self.fds: dict[str, int] = {}
-
-
-class ClusterNode:
+class ClusterNode(ServerCore):
     """One shard server on the shared cluster event loop."""
 
     def __init__(
@@ -76,83 +64,32 @@ class ClusterNode:
         fine_grained: bool = True,
         racecheck: "RaceChecker | None" = None,
     ) -> None:
-        self.loop = loop
+        super().__init__(
+            loop,
+            [ServerTenant(spec) for spec in tenants],
+            system=system,
+            sim_config=sim_config,
+            arbitration=arbitration,
+            max_inflight=max_inflight,
+            fine_grained=fine_grained,
+            racecheck=racecheck,
+            prefix=f"{name}:",
+        )
         self.name = name
         self.metrics = ServerMetrics(name)
-        self.racecheck = racecheck
-        self.system: StorageSystem = build_system(system, sim_config)
-        self.system.tracer.retain = True
-        timing = self.system.config.timing
-        ssd = self.system.config.ssd
-        self._host_stage = FifoResource(
-            loop, timing.host_parallelism, name=f"{name}:host"
-        )
-        self._channel_stages = [
-            FifoResource(loop, name=f"{name}:channel:{index}")
-            for index in range(ssd.channels)
-        ]
-        self._pcie_stage = FifoResource(loop, name=f"{name}:pcie")
-        self.mq = MultiQueueNvme(arbitration)
-        self.mq.racecheck = racecheck
-        self.max_inflight = max_inflight
-        self.inflight = 0
-        self.max_inflight_observed = 0
-        self.fine_grained = fine_grained
         #: Completion hook wired by the router after construction.
         self.on_attempt_done: Callable[["Attempt", float], None] | None = None
-        #: Stable per-node admission priority of each dispatched attempt.
-        self._dispatch_seq = itertools.count()
         #: Wave-buffered admissions, settled in stable order_key order.
         self._pending_admissions: list["Attempt"] = []
-        self._pump_needed = False
-        self._pumping = False
         # Fault state: stalls nest (overlapping campaigns), slowdown
         # factors multiply while their specs are active.
         self._stall_depth = 0
         self._active_faults: list[FaultSpec] = []
-        self._tenants: list[_NodeTenant] = []
-        if racecheck is not None:
-            racecheck.track(self.system, f"{name}:system:{system}")
-            racecheck.track(self.mq, f"{name}:nvme-mq:{arbitration}")
-        for index, spec in enumerate(tenants):
-            state = _NodeTenant(spec, index)
-            self._tenants.append(state)
-            queue = self.mq.add_queue(
-                spec.name, depth=spec.qos.queue_depth, weight=spec.qos.weight
-            )
-            if racecheck is not None:
-                # Pushes happen only at settle (stable-sorted batch) or
-                # before the run; pops only in the settle-phase pump.
-                racecheck.track(queue, f"{name}:ring:{spec.name}")
-        self._create_files(tenants)
-        for state in self._tenants:
-            self._open_files(state)
         # Admissions settle before the pump so a same-pass fetch sees
         # every push of the pass (settle passes repeat until quiescent
         # either way; the order just saves a pass).
         loop.add_settler(self._settle_admissions)
         loop.add_settler(self._settle_pump)
-
-    # --- setup --------------------------------------------------------
-    def _create_files(self, tenants: tuple["TenantSpec", ...]) -> None:
-        sizes: dict[str, int] = {}
-        for spec in tenants:
-            for file in spec.trace.files:
-                known = sizes.get(file.path)
-                if known is not None:
-                    if known != file.size:
-                        raise ValueError(
-                            f"file {file.path} declared with conflicting sizes "
-                            f"({known} vs {file.size})"
-                        )
-                    continue
-                sizes[file.path] = file.size
-                self.system.create_file(file.path, file.size)
-
-    def _open_files(self, state: _NodeTenant) -> None:
-        flags = O_RDWR | (O_FINE_GRAINED if self.fine_grained else 0)
-        for file in state.spec.trace.files:
-            state.fds[file.path] = self.system.open(file.path, flags)
 
     # --- fault state ---------------------------------------------------
     def begin_fault(self, spec: FaultSpec) -> None:
@@ -179,7 +116,7 @@ class ClusterNode:
         if spec.kind == SERVER_STALL:
             self._stall_depth -= 1
             if self._stall_depth == 0:
-                self._request_pump()
+                self._pump()
         else:
             self._active_faults.remove(spec)
 
@@ -224,101 +161,44 @@ class ClusterNode:
         state.backlog.append(attempt)
         self._drain(state)
 
-    def _drain(self, state: _NodeTenant) -> None:
+    def _drain(self, state: ServerTenant) -> None:
         """Move backlog attempts into the tenant's ring while it has room."""
         queue = self.mq.queue(state.spec.name)
         while state.backlog and not queue.full:
             queue.push(state.backlog.popleft())
-        self._request_pump()
+        self._pump()
 
     # --- dispatch path -------------------------------------------------
-    def _request_pump(self) -> None:
-        if self.loop.running:
-            self._pump_needed = True
-            return
-        self._pump_now()
-
-    def _settle_pump(self) -> bool:
-        if not self._pump_needed:
-            return False
-        self._pump_needed = False
-        self._pump_now()
-        return True
-
     def _pump_now(self) -> None:
-        if self._pumping:
-            return
-        self._pumping = True
-        try:
-            while not self.stalled and self.inflight < self.max_inflight:
-                fetched = self.mq.fetch()
-                if fetched is None:
-                    return
-                tenant, attempt = fetched
-                state = self._tenants[attempt.tenant_index]  # type: ignore[union-attr]
-                assert state.spec.name == tenant
-                if attempt.cancelled:  # type: ignore[union-attr]
-                    # A hedge loser cancelled while still queued: drop
-                    # it without occupying a device slot.
-                    self.metrics.cancelled += 1
-                else:
-                    self.inflight += 1
-                    if self.inflight > self.max_inflight_observed:
-                        self.max_inflight_observed = self.inflight
-                    self._dispatch(state, attempt)  # type: ignore[arg-type]
-                # Fetching freed a ring slot: blocked backlog may advance.
-                if state.backlog:
-                    self._drain(state)
-        finally:
-            self._pumping = False
+        # A stalled server fetches nothing; the stall's end pumps again.
+        if not self.stalled:
+            super()._pump_now()
 
-    def _dispatch(self, state: _NodeTenant, attempt: "Attempt") -> None:
+    def _dispatch(self, state: ServerTenant, attempt: "Attempt") -> None:
         """Execute the attempt's op and replay its demand on the stages."""
+        if attempt.cancelled:
+            # A hedge loser cancelled while still queued: drop it
+            # without occupying a device slot.
+            self.metrics.cancelled += 1
+            return
         attempt.dispatched = True
-        op = attempt.request.op
-        racecheck = self.racecheck
-        if racecheck is not None:
-            racecheck.access(self.system, "write", "io")
-        fd = state.fds[op.path]
-        if isinstance(op, ReadOp):
-            self.system.read(fd, op.offset, op.size)
-        elif isinstance(op, WriteOp):
-            payload = (
-                op.payload()
-                if self.system.config.transfer_data
-                else b"\x00" * op.size
-            )
-            self.system.write(fd, op.offset, payload)
-        else:  # pragma: no cover - trace model is closed
-            raise TypeError(f"unknown op {op!r}")
-        trace = self.system.tracer.finished.pop()
-        demand = trace.demand()
-        channel_index = demand.channel % len(self._channel_stages)
-        channel = self._channel_stages[channel_index]
-        pcie = self._pcie_stage
+        demand = self._execute(state, attempt.request.op)
+        channel_index = demand.channel % len(self.stages.channels)
         # Fault multipliers are sampled at dispatch (settle phase), so
         # every same-wave dispatch sees the same post-wave fault state.
-        nand_ns = demand.nand_ns * self.die_slowdown_factor(channel_index)
-        pcie_ns = demand.pcie_ns * self.link_degrade_factor()
-        key = next(self._dispatch_seq)
-
-        def on_pcie(end_ns: float) -> None:
-            self._complete(attempt, end_ns)
-
-        def on_nand(_end_ns: float) -> None:
-            pcie.acquire(pcie_ns, on_pcie, key=key)
-
-        def on_host(_end_ns: float) -> None:
-            channel.acquire(nand_ns, on_nand, key=key)
-
-        self._host_stage.acquire(demand.host_ns, on_host, key=key)
+        demand = RequestDemand(
+            host_ns=demand.host_ns,
+            nand_ns=demand.nand_ns * self.die_slowdown_factor(channel_index),
+            channel=demand.channel,
+            pcie_ns=demand.pcie_ns * self.link_degrade_factor(),
+        )
+        self.stages.submit(demand, lambda end_ns: self._complete(attempt, end_ns))
 
     def _complete(self, attempt: "Attempt", end_ns: float) -> None:
-        self.inflight -= 1
         self.metrics.completed += 1
         assert self.on_attempt_done is not None
         self.on_attempt_done(attempt, end_ns)
-        self._request_pump()
+        self._release()
 
 
 __all__ = ["ClusterNode"]

@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING
 
 from repro.cluster.metrics import ClusterTenantMetrics
 from repro.cluster.policies import HEDGED, ReplicaPolicy
-from repro.serve.clients import Client, ClosedLoopClient, OpenLoopClient
-from repro.serve.server import CLOSED
+from repro.serve.clients import Client, build_client
 from repro.workloads.trace import Op, WriteOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,7 +179,7 @@ class Router:
         self._pending_hedges: list[Request] = []
         self._tenants: list[_RouterTenant] = []
         for index, spec in enumerate(tenants):
-            client = self._build_client(spec, index, seed)
+            client = build_client(spec, index, seed)
             state = _RouterTenant(spec, index, client)
             self._tenants.append(state)
             client.bind(loop, self._make_submit(state))
@@ -202,23 +201,6 @@ class Router:
             node.on_attempt_done = self.on_attempt_done
 
     # --- clients -------------------------------------------------------
-    def _build_client(self, spec: "TenantSpec", index: int, seed: int) -> Client:
-        if spec.mode == CLOSED:
-            return ClosedLoopClient(
-                spec.trace,
-                concurrency=spec.concurrency,
-                think_ns=spec.think_ns,
-                max_ops=spec.max_ops,
-            )
-        # Distinct, deterministic arrival stream per tenant (same
-        # derivation as the single-server layer).
-        return OpenLoopClient(
-            spec.trace,
-            rate_qps=spec.rate_qps,
-            seed=seed * 1_000_003 + index,
-            max_ops=spec.max_ops,
-        )
-
     def start_clients(self) -> None:
         for state in self._tenants:
             state.client.start()

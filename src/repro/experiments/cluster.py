@@ -39,15 +39,14 @@ from repro.cluster import (
     ClusterConfig,
     ClusterResult,
     FaultSpec,
-    cluster_perturbed,
     run_cluster,
 )
-from repro.cluster.cluster import Cluster, cluster_digest
+from repro.cluster.cluster import Cluster
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.serve.qos import TenantQoS
 from repro.serve.server import TenantSpec
 from repro.sim import racecheck as racecheck_mod
-from repro.sim.racecheck import RaceChecker
+from repro.sim.racecheck import RaceChecker, perturbed, result_digest
 from repro.workloads.socialgraph import SocialGraphConfig, social_graph_trace
 
 TITLE = "Cluster: tail amplification by replica-read policy x fault type"
@@ -247,7 +246,9 @@ def _order_independence(
         config = cluster_config(tenants, policy, faults)
         checker = RaceChecker()
         checked = Cluster(config, sim_config, racecheck=checker).run()
-        report = cluster_perturbed(config, sim_config, seeds=PERTURBATION_SEEDS)
+        report = perturbed(
+            lambda seed: run_cluster(config, sim_config, tiebreak_seed=seed), PERTURBATION_SEEDS
+        )
         if not report.identical:
             raise RuntimeError(
                 f"cluster result depends on the event tie-break "
@@ -267,7 +268,7 @@ def _order_independence(
             "events_tracked": checker.events_tracked,
             "accesses_checked": checker.accesses_checked,
             "races": len(checker.races),
-            "checked_digest": cluster_digest(checked),
+            "checked_digest": result_digest(checked),
             "perturbation": {
                 "baseline_digest": report.baseline_digest,
                 "digests": {str(seed): d for seed, d in sorted(report.digests.items())},

@@ -23,9 +23,9 @@ from repro.analysis.metrics import ExperimentOutcome
 from repro.analysis.report import text_table
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.serve.qos import SHED, TenantQoS
-from repro.serve.server import ServeConfig, StorageServer, TenantSpec, serve, serve_perturbed
+from repro.serve.server import ServeConfig, StorageServer, TenantSpec, serve
 from repro.sim import racecheck as racecheck_mod
-from repro.sim.racecheck import RaceChecker
+from repro.sim.racecheck import RaceChecker, perturbed
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 
 TITLE = "Multi-tenant serving: NVMe MQ arbitration + per-tenant QoS"
@@ -187,7 +187,9 @@ def _order_independence(scale: ExperimentScale, config) -> tuple[list[list[str]]
         )
         checker = RaceChecker()
         StorageServer(serve_config, config, racecheck=checker).run()
-        report = serve_perturbed(serve_config, config, seeds=PERTURBATION_SEEDS)
+        report = perturbed(
+            lambda seed: serve(serve_config, config, tiebreak_seed=seed), PERTURBATION_SEEDS
+        )
         if not report.identical:
             raise RuntimeError(
                 f"serving result depends on the event tie-break "

@@ -29,7 +29,9 @@ Two structural idioms of the tree are modelled explicitly:
   followed by a direct call means the direct call only happens before
   the run starts.  Call edges and mutations in such pre-run-only
   regions are excluded from phase propagation, which is what keeps the
-  settle-phase pumps (``_pump_now``, ``_route``) out of the wave set;
+  settle-phase pump (``ServerCore._pump_now``, which wave code reaches
+  only through ``ServerCore._pump``'s guard) and ``Router._route`` out
+  of the wave set;
 - **self-mutation inside a shared class**: a FIFO mutating its own
   queue inside ``acquire`` is the object's internal discipline (the
   dynamic checker owns it), not a phase violation at a call site.
@@ -106,11 +108,13 @@ SETTLE = "settle"
 
 #: Methods whose callable arguments the *event loop* will invoke later,
 #: during a timestamp wave: ``schedule``/``schedule_at`` event
-#: callbacks, ``acquire`` completion callbacks, and client ``bind``
-#: submit hooks.  Function refs passed anywhere else (``sorted`` keys,
-#: ``benchmark(fn)`` drivers, ``map``) are called synchronously by the
-#: receiver and become ordinary call edges instead of wave roots.
-WAVE_CALLBACK_SINKS = frozenset({"schedule", "schedule_at", "acquire", "bind"})
+#: callbacks, ``acquire`` completion callbacks, ``StagePipeline.submit``
+#: completion callbacks (handed on to the PCIe stage's ``acquire``), and
+#: client ``bind`` submit hooks.  Function refs passed anywhere else
+#: (``sorted`` keys, ``benchmark(fn)`` drivers, ``map``) are called
+#: synchronously by the receiver and become ordinary call edges instead
+#: of wave roots.
+WAVE_CALLBACK_SINKS = frozenset({"schedule", "schedule_at", "acquire", "submit", "bind"})
 
 #: Methods registering settle-phase hooks.
 SETTLE_CALLBACK_SINKS = frozenset({"add_settler"})

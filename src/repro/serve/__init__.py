@@ -40,26 +40,17 @@ from repro.serve.qos import AdmissionRejected, TenantQoS, TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     from repro.serve.clients import Client, ClosedLoopClient, OpenLoopClient
-    from repro.serve.server import (
-        PerturbationReport,
-        ServeConfig,
-        StorageServer,
-        TenantSpec,
-        serve,
-        serve_perturbed,
-    )
+    from repro.serve.server import ServeConfig, StorageServer, TenantSpec, serve
 
 #: Lazily resolved attributes -> defining submodule.
 _LAZY = {
     "Client": "repro.serve.clients",
     "ClosedLoopClient": "repro.serve.clients",
     "OpenLoopClient": "repro.serve.clients",
-    "PerturbationReport": "repro.serve.server",
     "ServeConfig": "repro.serve.server",
     "StorageServer": "repro.serve.server",
     "TenantSpec": "repro.serve.server",
     "serve": "repro.serve.server",
-    "serve_perturbed": "repro.serve.server",
 }
 
 
@@ -80,7 +71,6 @@ __all__ = [
     "FifoResource",
     "MultiQueueNvme",
     "OpenLoopClient",
-    "PerturbationReport",
     "QueueFull",
     "RoundRobinArbiter",
     "ScheduledEvent",
@@ -93,5 +83,4 @@ __all__ = [
     "TokenBucket",
     "WeightedRoundRobinArbiter",
     "serve",
-    "serve_perturbed",
 ]

@@ -22,10 +22,17 @@ from __future__ import annotations
 import abc
 import itertools
 import random
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.serve.engine import EventLoop
 from repro.workloads.trace import Op, Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serve.server import TenantSpec
+
+#: Client modes accepted by :class:`~repro.serve.server.TenantSpec`.
+CLOSED = "closed"
+OPEN = "open"
 
 #: Submission hook bound by the server: ``submit(op)``.
 SubmitFn = Callable[[Op], None]
@@ -147,4 +154,34 @@ class OpenLoopClient(Client):
         self._loop.schedule(self._interarrival_ns(), self._arrive)
 
 
-__all__ = ["Client", "ClosedLoopClient", "OpenLoopClient", "SubmitFn"]
+def build_client(spec: "TenantSpec", index: int, seed: int) -> Client:
+    """The client a tenant spec describes; ``index`` is its tenant slot.
+
+    Open-loop tenants each get a distinct, deterministic arrival stream
+    derived from the run ``seed`` and their slot, so a server and a
+    cluster built from one config offer identical arrivals.
+    """
+    if spec.mode == CLOSED:
+        return ClosedLoopClient(
+            spec.trace,
+            concurrency=spec.concurrency,
+            think_ns=spec.think_ns,
+            max_ops=spec.max_ops,
+        )
+    return OpenLoopClient(
+        spec.trace,
+        rate_qps=spec.rate_qps,
+        seed=seed * 1_000_003 + index,
+        max_ops=spec.max_ops,
+    )
+
+
+__all__ = [
+    "CLOSED",
+    "OPEN",
+    "Client",
+    "ClosedLoopClient",
+    "OpenLoopClient",
+    "SubmitFn",
+    "build_client",
+]

@@ -16,38 +16,37 @@ baseline) on the deterministic event loop:
    invariant is checked at every root-trace close, now with many
    requests in flight;
 5. the finished trace's queueing demand (``StageTrace.demand``) is
-   replayed through shared host/NAND-channel/PCIe stage resources on
-   the loop, so the op's *completion time* reflects contention with
-   every other in-flight request;
+   submitted to the server's :class:`~repro.sim.queueing.StagePipeline`
+   (host -> NAND channel -> PCIe on the loop), so the op's *completion
+   time* reflects contention with every other in-flight request;
 6. completion feeds the tenant's tail-latency accounting and, for
    closed-loop clients, releases the next submission.
+
+Steps 3-5 are :class:`ServerCore`, shared with the cluster's
+:class:`~repro.cluster.node.ClusterNode`; :class:`StorageServer` adds
+the clients, QoS admission and per-tenant metrics.
 
 Same ``ServeConfig`` + seed => byte-identical :class:`ServeResult`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import json
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.config import SimConfig
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
-from repro.serve.clients import Client, ClosedLoopClient, OpenLoopClient
-from repro.serve.engine import EventLoop, FifoResource
+from repro.serve.clients import CLOSED, OPEN, Client, build_client
+from repro.serve.engine import EventLoop
 from repro.serve.metrics import ServeResult, TenantMetrics
 from repro.serve.nvme_mq import ARBITERS, MultiQueueNvme
 from repro.serve.qos import SHED, AdmissionRejected, TenantQoS, TokenBucket
 from repro.sim import racecheck as racecheck_mod
+from repro.sim.queueing import RequestDemand, StagePipeline
 from repro.sim.racecheck import RaceChecker
 from repro.system import StorageSystem, build_system
 from repro.workloads.trace import Op, ReadOp, Trace, WriteOp
-
-#: Client modes accepted by :class:`TenantSpec`.
-CLOSED = "closed"
-OPEN = "open"
 
 
 @dataclass(frozen=True)
@@ -114,29 +113,207 @@ class ServeConfig:
             raise ValueError("max_inflight must be positive")
 
 
-class _TenantState:
+class ServerTenant:
+    """One tenant as a server core sees it: backlog and open files."""
+
+    __slots__ = ("spec", "backlog", "fds")
+
+    def __init__(self, spec: TenantSpec) -> None:
+        self.spec = spec
+        #: Entries admitted but not yet in the tenant's NVMe ring.
+        self.backlog: deque = deque()
+        self.fds: dict[str, int] = {}
+
+
+class ServerCore:
+    """What a storage server and a cluster node share.
+
+    One registered :class:`~repro.system.StorageSystem` (retaining each
+    finished root trace so a dispatched op's demand can be read off
+    it), per-tenant NVMe submission rings behind the RR/WRR arbiter,
+    ``max_inflight`` device slots, and a
+    :class:`~repro.sim.queueing.StagePipeline` whose stage FIFOs are
+    named with ``prefix``.  The settle-deferred pump fetches from the
+    rings while slots are free and hands each entry to ``_dispatch``;
+    fetching frees a ring slot, so blocked backlog re-enters ``_drain``.
+
+    Subclasses supply ``_drain`` (admission into the rings) and
+    ``_dispatch`` (what a fetched entry does: typically ``_execute``
+    then ``stages.submit``, with ``_release`` on completion), and
+    register :meth:`_settle_pump` as a settler after any settler that
+    feeds the rings.
+    """
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        tenants: Sequence[ServerTenant],
+        *,
+        system: str,
+        sim_config: SimConfig | None,
+        arbitration: str,
+        max_inflight: int,
+        fine_grained: bool,
+        racecheck: RaceChecker | None,
+        prefix: str = "",
+    ) -> None:
+        self.loop = loop
+        self.racecheck = racecheck
+        self.system: StorageSystem = build_system(system, sim_config)
+        self.system.tracer.retain = True
+        config = self.system.config
+        self.stages = StagePipeline(
+            loop,
+            host_servers=config.timing.host_parallelism,
+            channels=config.ssd.channels,
+            prefix=prefix,
+        )
+        self.mq = MultiQueueNvme(arbitration)
+        self.mq.racecheck = racecheck
+        if racecheck is not None:
+            # The storage system's caches/mapping are order-sensitive
+            # shared state too: two simultaneous unordered dispatches
+            # would hit it in tie-break order.
+            racecheck.track(self.system, f"{prefix}system:{system}")
+            racecheck.track(self.mq, f"{prefix}nvme-mq:{arbitration}")
+        self.max_inflight = max_inflight
+        self.inflight = 0
+        self.max_inflight_observed = 0
+        self._pumping = False
+        self._pump_needed = False
+        self._tenants = list(tenants)
+        self._by_name = {state.spec.name: state for state in self._tenants}
+        self._create_files()
+        flags = O_RDWR | (O_FINE_GRAINED if fine_grained else 0)
+        for state in self._tenants:
+            spec = state.spec
+            queue = self.mq.add_queue(spec.name, depth=spec.qos.queue_depth, weight=spec.qos.weight)
+            for file in spec.trace.files:
+                state.fds[file.path] = self.system.open(file.path, flags)
+            if racecheck is not None:
+                # A push always moves the tenant backlog *head* into the
+                # ring, so the pushed entry is a function of tenant state,
+                # not of which same-time event does the pushing:
+                # simultaneous pushes commute.  (Pops happen only in the
+                # settle-phase pump, already fenced after the wave.)
+                racecheck.track(queue, f"{prefix}ring:{spec.name}", commutative_ops={"push"})
+
+    def _create_files(self) -> None:
+        sizes: dict[str, int] = {}
+        for state in self._tenants:
+            for file in state.spec.trace.files:
+                known = sizes.get(file.path)
+                if known is not None:
+                    if known != file.size:
+                        raise ValueError(
+                            f"file {file.path} declared with conflicting sizes "
+                            f"({known} vs {file.size})"
+                        )
+                    continue
+                sizes[file.path] = file.size
+                self.system.create_file(file.path, file.size)
+
+    # --- admission and dispatch policy (subclasses) ---------------------
+    def _drain(self, state: ServerTenant) -> None:
+        """Move backlog entries into the tenant's ring, then ``_pump``."""
+        raise NotImplementedError
+
+    def _dispatch(self, state: ServerTenant, entry: object) -> None:
+        """Handle one entry fetched from ``state``'s ring."""
+        raise NotImplementedError
+
+    # --- dispatch path -------------------------------------------------
+    def _pump(self) -> None:
+        """Fetch from the rings while device slots are free.
+
+        While the loop is running, the pump is deferred to the settle
+        phase: arbitration then sees every ring push and freed slot of
+        the whole timestamp wave, so which entries are fetched — and in
+        what order — cannot depend on the tie-break order of the events
+        that requested pumping.
+        """
+        if self.loop.running:
+            self._pump_needed = True
+            return
+        self._pump_now()
+
+    def _settle_pump(self) -> bool:
+        if not self._pump_needed:
+            return False
+        self._pump_needed = False
+        self._pump_now()
+        return True
+
+    def _pump_now(self) -> None:
+        """The actual fetch loop (settle phase, or before the run starts).
+
+        Guarded against re-entry: ``_drain`` (called below when a fetch
+        frees a ring slot) ends with a ``_pump`` of its own, which must
+        no-op while this frame's while-loop is already fetching.
+        """
+        if self._pumping:
+            return
+        self._pumping = True
+        try:
+            while self.inflight < self.max_inflight:
+                fetched = self.mq.fetch()
+                if fetched is None:
+                    return
+                tenant, entry = fetched
+                state = self._by_name[tenant]
+                self._dispatch(state, entry)
+                # Fetching freed a ring slot: blocked backlog may advance.
+                if state.backlog:
+                    self._drain(state)
+        finally:
+            self._pumping = False
+
+    def _execute(self, state: ServerTenant, op: Op) -> RequestDemand:
+        """Run ``op`` in a device slot; return its recorded queueing demand."""
+        self.inflight += 1
+        if self.inflight > self.max_inflight_observed:
+            self.max_inflight_observed = self.inflight
+        if self.racecheck is not None:
+            self.racecheck.access(self.system, "write", "io")
+        fd = state.fds[op.path]
+        if isinstance(op, ReadOp):
+            self.system.read(fd, op.offset, op.size)
+        elif isinstance(op, WriteOp):
+            payload = (
+                op.payload()
+                if self.system.config.transfer_data
+                else b"\x00" * op.size
+            )
+            self.system.write(fd, op.offset, payload)
+        else:  # pragma: no cover - trace model is closed
+            raise TypeError(f"unknown op {op!r}")
+        return self.system.tracer.finished.pop().demand()
+
+    def _release(self) -> None:
+        """An executed op left the stage pipeline: free its device slot."""
+        self.inflight -= 1
+        self._pump()
+
+
+class _TenantState(ServerTenant):
     """Server-side live state of one tenant."""
 
-    __slots__ = ("spec", "metrics", "bucket", "backlog", "fds", "client", "drain_event")
+    __slots__ = ("metrics", "bucket", "client", "drain_event")
 
     def __init__(self, spec: TenantSpec, client: Client) -> None:
-        self.spec = spec
+        super().__init__(spec)
         self.metrics = TenantMetrics(spec.name)
         self.bucket: TokenBucket | None = (
             TokenBucket(spec.qos.rate_limit_qps, spec.qos.burst)
             if spec.qos.rate_limit_qps is not None
             else None
         )
-        #: Ops admitted by the client but not yet in the NVMe ring
-        #: (waiting on tokens or on ring space under the block policy).
-        self.backlog: deque[tuple[Op, float]] = deque()
-        self.fds: dict[str, int] = {}
         self.client = client
         #: Pending timer for a token-bucket retry (avoid duplicates).
         self.drain_event = None
 
 
-class StorageServer:
+class StorageServer(ServerCore):
     """Drive one storage system from many concurrent tenants.
 
     ``racecheck`` attaches a :class:`~repro.sim.racecheck.RaceChecker`
@@ -147,7 +324,7 @@ class StorageServer:
     so any order-dependent same-timestamp access raises a
     ``virtual-time race`` with both event stacks.  ``tiebreak_seed``
     arms the loop's schedule-perturbation mode (see
-    :func:`serve_perturbed`).
+    :func:`repro.sim.racecheck.perturbed`).
     """
 
     def __init__(
@@ -161,114 +338,39 @@ class StorageServer:
         self.config = config
         if racecheck is None and racecheck_mod.active():
             racecheck = RaceChecker()
-        self.racecheck = racecheck
         if config.backend is not None:
             sim_config = (sim_config or SimConfig()).scaled(backend=config.backend)
-        self.system: StorageSystem = build_system(config.system, sim_config)
-        #: Retain finished root traces so each dispatched op's demand
-        #: can be read off its StageTrace (popped per op, stays empty).
-        self.system.tracer.retain = True
-        self.loop = EventLoop(racecheck=racecheck, tiebreak_seed=tiebreak_seed)
-        timing = self.system.config.timing
-        ssd = self.system.config.ssd
-        self._host_stage = FifoResource(
-            self.loop, timing.host_parallelism, name="host"
+        super().__init__(
+            EventLoop(racecheck=racecheck, tiebreak_seed=tiebreak_seed),
+            [
+                _TenantState(spec, build_client(spec, index, config.seed))
+                for index, spec in enumerate(config.tenants)
+            ],
+            system=config.system,
+            sim_config=sim_config,
+            arbitration=config.arbitration,
+            max_inflight=config.max_inflight,
+            fine_grained=config.fine_grained,
+            racecheck=racecheck,
         )
-        self._channel_stages = [
-            FifoResource(self.loop, name=f"channel:{index}")
-            for index in range(ssd.channels)
-        ]
-        self._pcie_stage = FifoResource(self.loop, name="pcie")
-        self.mq = MultiQueueNvme(config.arbitration)
-        self.mq.racecheck = racecheck
-        if racecheck is not None:
-            # The storage system's caches/mapping are order-sensitive
-            # shared state too: two simultaneous unordered dispatches
-            # would hit it in tie-break order.
-            racecheck.track(self.system, f"system:{config.system}")
-            racecheck.track(self.mq, f"nvme-mq:{config.arbitration}")
-        self.inflight = 0
-        self.max_inflight_observed = 0
-        self._pumping = False
-        self._pump_needed = False
-        #: Stable admission priority of each dispatched op: assigned in
-        #: settle-phase arbitration order, carried through every stage.
-        self._dispatch_seq = itertools.count()
-        self.loop.add_settler(self._settle)
-        self._tenants: list[_TenantState] = []
-        self._by_name: dict[str, _TenantState] = {}
-        self._create_files()
-        for index, spec in enumerate(config.tenants):
-            state = _TenantState(spec, self._build_client(spec, index))
-            self._tenants.append(state)
-            self._by_name[spec.name] = state
-            queue = self.mq.add_queue(
-                spec.name, depth=spec.qos.queue_depth, weight=spec.qos.weight
-            )
-            self._open_files(state)
+        self.loop.add_settler(self._settle_pump)
+        for state in self._tenants:
             state.client.bind(self.loop, self._make_submit(state))
-            if racecheck is not None:
-                # A push always moves the tenant backlog *head* into the
-                # ring, so the pushed entry is a function of tenant state,
-                # not of which same-time event does the pushing:
-                # simultaneous pushes commute.  (Pops happen only in the
-                # settle-phase pump, already fenced after the wave.)
-                racecheck.track(queue, f"ring:{spec.name}", commutative_ops={"push"})
-                if state.bucket is not None:
-                    state.bucket.racecheck = racecheck
-                    # Token arithmetic commutes; which submitter a failed
-                    # take delays does not matter, because the delayed op
-                    # is the backlog head either way.
-                    racecheck.track(
-                        state.bucket, f"bucket:{spec.name}", commutative_ops={"take"}
-                    )
-                # Histogram inserts commute (order-independent sketch),
-                # so only mixed access patterns can race.
-                racecheck.track(
-                    state.metrics.latency,
-                    f"latency:{spec.name}",
-                    commutative_ops={"record"},
-                )
-                racecheck.track(
-                    state.metrics.queue_delay,
-                    f"queue-delay:{spec.name}",
-                    commutative_ops={"record"},
-                )
-
-    # --- setup --------------------------------------------------------
-    def _create_files(self) -> None:
-        sizes: dict[str, int] = {}
-        for spec in self.config.tenants:
-            for file in spec.trace.files:
-                known = sizes.get(file.path)
-                if known is not None:
-                    if known != file.size:
-                        raise ValueError(
-                            f"file {file.path} declared with conflicting sizes "
-                            f"({known} vs {file.size})"
-                        )
-                    continue
-                sizes[file.path] = file.size
-                self.system.create_file(file.path, file.size)
-
-    def _open_files(self, state: _TenantState) -> None:
-        flags = O_RDWR | (O_FINE_GRAINED if self.config.fine_grained else 0)
-        for file in state.spec.trace.files:
-            state.fds[file.path] = self.system.open(file.path, flags)
-
-    def _build_client(self, spec: TenantSpec, index: int) -> Client:
-        if spec.mode == CLOSED:
-            return ClosedLoopClient(
-                spec.trace,
-                concurrency=spec.concurrency,
-                think_ns=spec.think_ns,
-                max_ops=spec.max_ops,
+            if racecheck is None:
+                continue
+            name = state.spec.name
+            if state.bucket is not None:
+                state.bucket.racecheck = racecheck
+                # Token arithmetic commutes; which submitter a failed
+                # take delays does not matter, because the delayed op
+                # is the backlog head either way.
+                racecheck.track(state.bucket, f"bucket:{name}", commutative_ops={"take"})
+            # Histogram inserts commute (order-independent sketch), so
+            # only mixed access patterns can race.
+            racecheck.track(state.metrics.latency, f"latency:{name}", commutative_ops={"record"})
+            racecheck.track(
+                state.metrics.queue_delay, f"queue-delay:{name}", commutative_ops={"record"}
             )
-        # Distinct, deterministic arrival stream per tenant.
-        seed = self.config.seed * 1_000_003 + index
-        return OpenLoopClient(
-            spec.trace, rate_qps=spec.rate_qps, seed=seed, max_ops=spec.max_ops
-        )
 
     # --- submission path ----------------------------------------------
     def _make_submit(self, state: _TenantState):
@@ -321,97 +423,20 @@ class StorageServer:
         self.loop.schedule(0.0, lambda: client.on_rejected(op, rejection))
 
     # --- dispatch path -------------------------------------------------
-    def _pump(self) -> None:
-        """Fetch from the rings while device slots are free.
-
-        While the loop is running, the pump is deferred to the settle
-        phase: arbitration then sees every ring push and freed slot of
-        the whole timestamp wave, so which ops are fetched — and in
-        what order — cannot depend on the tie-break order of the events
-        that requested pumping.
-        """
-        if self.loop.running:
-            self._pump_needed = True
-            return
-        self._pump_now()
-
-    def _settle(self) -> bool:
-        if not self._pump_needed:
-            return False
-        self._pump_needed = False
-        self._pump_now()
-        return True
-
-    def _pump_now(self) -> None:
-        """The actual fetch loop (settle phase, or before the run starts).
-
-        Guarded against re-entry: ``_drain`` (called below when a fetch
-        frees a ring slot) ends with a ``_pump`` of its own, which must
-        no-op while this frame's while-loop is already fetching.
-        """
-        if self._pumping:
-            return
-        self._pumping = True
-        try:
-            while self.inflight < self.config.max_inflight:
-                fetched = self.mq.fetch()
-                if fetched is None:
-                    return
-                tenant, entry = fetched
-                state = self._by_name[tenant]
-                op, submit_ns = entry  # type: ignore[misc]
-                self.inflight += 1
-                if self.inflight > self.max_inflight_observed:
-                    self.max_inflight_observed = self.inflight
-                self._dispatch(state, op, submit_ns)
-                # Fetching freed a ring slot: blocked backlog may advance.
-                if state.backlog:
-                    self._drain(state)
-        finally:
-            self._pumping = False
-
-    def _dispatch(self, state: _TenantState, op: Op, submit_ns: float) -> None:
+    def _dispatch(self, state: _TenantState, entry: tuple[Op, float]) -> None:
         """Execute the op and replay its recorded demand on the stages."""
+        op, submit_ns = entry
         metrics = state.metrics
-        racecheck = self.racecheck
-        if racecheck is not None:
-            racecheck.access(metrics.queue_delay, "write", "record")
-            racecheck.access(self.system, "write", "io")
+        if self.racecheck is not None:
+            self.racecheck.access(metrics.queue_delay, "write", "record")
         metrics.queue_delay.record(self.loop.now_ns - submit_ns)
-        fd = state.fds[op.path]
+        demand = self._execute(state, op)
         if isinstance(op, ReadOp):
-            self.system.read(fd, op.offset, op.size)
             metrics.reads += 1
             metrics.demanded_bytes += op.size
-        elif isinstance(op, WriteOp):
-            payload = (
-                op.payload()
-                if self.system.config.transfer_data
-                else b"\x00" * op.size
-            )
-            self.system.write(fd, op.offset, payload)
+        else:
             metrics.writes += 1
-        else:  # pragma: no cover - trace model is closed
-            raise TypeError(f"unknown op {op!r}")
-        trace = self.system.tracer.finished.pop()
-        demand = trace.demand()
-        channel = self._channel_stages[demand.channel % len(self._channel_stages)]
-        pcie = self._pcie_stage
-        # The op's stable admission priority at every stage: assigned in
-        # arbitration order (settle-deterministic), so same-timestamp
-        # stage contention resolves identically under any tie-break.
-        key = next(self._dispatch_seq)
-
-        def on_pcie(end_ns: float) -> None:
-            self._complete(state, op, submit_ns, end_ns)
-
-        def on_nand(_end_ns: float) -> None:
-            pcie.acquire(demand.pcie_ns, on_pcie, key=key)
-
-        def on_host(_end_ns: float) -> None:
-            channel.acquire(demand.nand_ns, on_nand, key=key)
-
-        self._host_stage.acquire(demand.host_ns, on_host, key=key)
+        self.stages.submit(demand, lambda end_ns: self._complete(state, op, submit_ns, end_ns))
 
     def _complete(self, state: _TenantState, op: Op, submit_ns: float, end_ns: float) -> None:
         metrics = state.metrics
@@ -419,9 +444,8 @@ class StorageServer:
         if self.racecheck is not None:
             self.racecheck.access(metrics.latency, "write", "record")
         metrics.latency.record(end_ns - submit_ns)
-        self.inflight -= 1
         state.client.on_done(op, completed=True)
-        self._pump()
+        self._release()
 
     # --- run -----------------------------------------------------------
     def run(self) -> ServeResult:
@@ -456,70 +480,13 @@ def serve(
     ).run()
 
 
-def _digest(result: ServeResult) -> str:
-    payload = json.dumps(result.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Result of re-running one config under shuffled tie-breaks."""
-
-    #: Digest of the unperturbed run (schedule-order tie-break).
-    baseline_digest: str
-    #: Tie-break seed -> digest of that perturbed run.
-    digests: dict[int, str]
-
-    @property
-    def identical(self) -> bool:
-        return all(digest == self.baseline_digest for digest in self.digests.values())
-
-    @property
-    def drifted(self) -> tuple[int, ...]:
-        """Seeds whose perturbed run diverged from the baseline."""
-        return tuple(
-            seed
-            for seed, digest in sorted(self.digests.items())
-            if digest != self.baseline_digest
-        )
-
-    def render(self) -> str:
-        verdict = "byte-identical" if self.identical else f"DRIFTED (seeds {list(self.drifted)})"
-        return (
-            f"tie-break perturbation: {len(self.digests)} seeds, {verdict}; "
-            f"baseline sha256 {self.baseline_digest[:16]}"
-        )
-
-
-def serve_perturbed(
-    config: ServeConfig,
-    sim_config: SimConfig | None = None,
-    *,
-    seeds: tuple[int, ...] = tuple(range(1, 9)),
-) -> PerturbationReport:
-    """Prove (or refute) tie-break independence of a serving run.
-
-    Runs the config once with the normal ``(time, seq)`` tie-break and
-    once per seed with simultaneous events shuffled by seeded uniforms,
-    comparing the sha256 of each run's canonical-JSON
-    :class:`ServeResult`.  A race-free program is byte-identical across
-    every seed; any drift means some observable state leaned on the
-    arbitrary ordering of same-timestamp events.
-    """
-    baseline = _digest(serve(config, sim_config))
-    digests = {
-        seed: _digest(serve(config, sim_config, tiebreak_seed=seed)) for seed in seeds
-    }
-    return PerturbationReport(baseline_digest=baseline, digests=digests)
-
-
 __all__ = [
     "CLOSED",
     "OPEN",
-    "PerturbationReport",
     "ServeConfig",
+    "ServerCore",
+    "ServerTenant",
     "StorageServer",
     "TenantSpec",
     "serve",
-    "serve_perturbed",
 ]

@@ -10,15 +10,19 @@ bottleneck model (see ``experiments/qd_sweep``).
 
 The timeline runs on the shared discrete-event engine
 (:class:`repro.serve.engine.EventLoop` + :class:`FifoResource`) — the
-same loop the multi-tenant serving layer schedules on — so there is
-exactly one event-ordering implementation to trust: requests are
-admitted in order as completions free closed-loop slots, and each stage
-serves in arrival order with deterministic tie-breaking.
+same loop the multi-tenant serving layer schedules on — through
+:class:`StagePipeline`, the stage chain the server and the cluster
+nodes use too, so there is exactly one event-ordering and one stage
+implementation to trust: requests are admitted in order as completions
+free closed-loop slots, and each stage serves in arrival order with
+deterministic tie-breaking.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.serve.engine import EventLoop, FifoResource
 
@@ -64,6 +68,48 @@ class QueueingResult:
         return busy_ns / stage_capacity_ns
 
 
+class StagePipeline:
+    """Host CPU -> NAND channel -> PCIe: the three FCFS stages of a request.
+
+    The one implementation of the stage chain: the closed-loop
+    :class:`PipelineSimulator`, the serving layer's server and every
+    cluster node replay each request's :class:`RequestDemand` through
+    it.  FIFO names carry an optional ``prefix`` (a cluster node's
+    ``"s0:"``) so per-node stages stay distinguishable.
+
+    Each submission draws the next *dispatch key* and passes it to all
+    three stages: same-timestamp contenders at any stage are admitted in
+    submission order, never in event tie-break order.  Callers submit in
+    an order no tie-break can change — the servers from settle-phase
+    arbitration, the closed-loop replay in request order — so the keys
+    are tie-break independent too.
+    """
+
+    def __init__(
+        self, loop: EventLoop, *, host_servers: int, channels: int, prefix: str = ""
+    ) -> None:
+        self.host = FifoResource(loop, host_servers, name=f"{prefix}host")
+        self.channels = [
+            FifoResource(loop, name=f"{prefix}channel:{index}") for index in range(channels)
+        ]
+        self.pcie = FifoResource(loop, name=f"{prefix}pcie")
+        self._keys = itertools.count()
+
+    def submit(self, demand: RequestDemand, done: Callable[[float], None]) -> None:
+        """Replay ``demand`` stage by stage; ``done(end_ns)`` after PCIe."""
+        channel = self.channels[demand.channel % len(self.channels)]
+        pcie = self.pcie
+        key = next(self._keys)
+
+        def on_nand(_end_ns: float) -> None:
+            pcie.acquire(demand.pcie_ns, done, key=key)
+
+        def on_host(_end_ns: float) -> None:
+            channel.acquire(demand.nand_ns, on_nand, key=key)
+
+        self.host.acquire(demand.host_ns, on_host, key=key)
+
+
 class PipelineSimulator:
     """FCFS three-stage pipeline with a closed-loop admission window."""
 
@@ -84,11 +130,7 @@ class PipelineSimulator:
         if queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
         loop = EventLoop()
-        host = FifoResource(loop, self.host_servers, name="host")
-        channels = [
-            FifoResource(loop, name=f"channel:{index}") for index in range(self.channels)
-        ]
-        pcie = FifoResource(loop, name="pcie")
+        stages = StagePipeline(loop, host_servers=self.host_servers, channels=self.channels)
 
         count = len(demands)
         state = {"next": 0, "total_latency": 0.0, "finish": 0.0}
@@ -101,11 +143,9 @@ class PipelineSimulator:
             if index >= count:
                 return
             state["next"] = index + 1
-            demand = demands[index]
             admit_ns = loop.now_ns
-            channel = channels[demand.channel % self.channels]
 
-            def on_pcie(end_ns: float) -> None:
+            def done(end_ns: float) -> None:
                 latency = end_ns - admit_ns
                 state["total_latency"] += latency
                 if keep_latencies:
@@ -114,16 +154,9 @@ class PipelineSimulator:
                     state["finish"] = end_ns
                 admit()  # completion frees one closed-loop slot
 
-            def on_nand(_end_ns: float) -> None:
-                pcie.acquire(demand.pcie_ns, on_pcie, key=index)
-
-            def on_host(_end_ns: float) -> None:
-                channel.acquire(demand.nand_ns, on_nand, key=index)
-
-            # The admission index keys every stage acquire, so when two
-            # requests reach a stage in the same timestamp wave the FIFO
-            # admits them in request order, not event tie-break order.
-            host.acquire(demand.host_ns, on_host, key=index)
+            # Requests are submitted in index order, so the pipeline's
+            # dispatch key of each request is its admission index.
+            stages.submit(demands[index], done)
 
         for _ in range(min(queue_depth, count)):
             admit()
@@ -153,4 +186,4 @@ class PipelineSimulator:
         return max(host_busy, max(per_channel), pcie_busy)
 
 
-__all__ = ["PipelineSimulator", "QueueingResult", "RequestDemand"]
+__all__ = ["PipelineSimulator", "QueueingResult", "RequestDemand", "StagePipeline"]

@@ -39,12 +39,20 @@ conflict with reads.
 Activation mirrors :mod:`repro.sim.sanitize`: the ``REPRO_RACECHECK=1``
 environment variable, :func:`enable`/:func:`disable`, or passing an
 explicit :class:`RaceChecker` to the event loop / server.
+
+The checker sees only the schedule a run took; :func:`perturbed` is
+its complement for any program that takes a ``tiebreak_seed`` (a
+serving run, a cluster): it re-runs under seeded shuffles of
+same-timestamp events and compares :func:`result_digest` of each.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 READ = "read"
 WRITE = "write"
@@ -286,6 +294,64 @@ class RaceChecker:
         window.append(record)
 
 
+# --- schedule perturbation --------------------------------------------
+
+
+def result_digest(result: Any) -> str:
+    """sha256 of a run result's canonical JSON (``result.to_dict()``)."""
+    payload = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class PerturbationReport:
+    """Result of re-running one config under shuffled tie-breaks."""
+
+    #: Digest of the unperturbed run (schedule-order tie-break).
+    baseline_digest: str
+    #: Tie-break seed -> digest of that perturbed run.
+    digests: dict[int, str]
+
+    @property
+    def identical(self) -> bool:
+        return all(digest == self.baseline_digest for digest in self.digests.values())
+
+    @property
+    def drifted(self) -> tuple[int, ...]:
+        """Seeds whose perturbed run diverged from the baseline."""
+        return tuple(
+            seed
+            for seed, digest in sorted(self.digests.items())
+            if digest != self.baseline_digest
+        )
+
+    def render(self) -> str:
+        verdict = "byte-identical" if self.identical else f"DRIFTED (seeds {list(self.drifted)})"
+        return (
+            f"tie-break perturbation: {len(self.digests)} seeds, {verdict}; "
+            f"baseline sha256 {self.baseline_digest[:16]}"
+        )
+
+
+def perturbed(
+    run: Callable[[int | None], Any], seeds: tuple[int, ...]
+) -> PerturbationReport:
+    """Prove (or refute) tie-break independence of one run.
+
+    ``run(tiebreak_seed)`` builds and runs a fresh program (a serving
+    run, a cluster) on a loop with that tie-break seed.  It runs once
+    unperturbed (``None``: the normal ``(time, seq)`` tie-break) and
+    once per seed with simultaneous events shuffled by seeded uniforms,
+    comparing :func:`result_digest` of each result.  A race-free
+    program is byte-identical across every seed; any drift means some
+    observable state leaned on the arbitrary ordering of
+    same-timestamp events.
+    """
+    baseline = result_digest(run(None))
+    digests = {seed: result_digest(run(seed)) for seed in seeds}
+    return PerturbationReport(baseline_digest=baseline, digests=digests)
+
+
 # --- process-global activation (mirrors repro.sim.sanitize) -----------
 
 _forced = 0
@@ -315,6 +381,7 @@ __all__ = [
     "READ",
     "WRITE",
     "EventInfo",
+    "PerturbationReport",
     "RaceChecker",
     "RaceError",
     "RaceReport",
@@ -322,4 +389,6 @@ __all__ = [
     "active",
     "disable",
     "enable",
+    "perturbed",
+    "result_digest",
 ]

@@ -10,18 +10,12 @@ import json
 
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    FaultSpec,
-    cluster_digest,
-    cluster_perturbed,
-    run_cluster,
-)
+from repro.cluster import ClusterConfig, FaultSpec, run_cluster
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import DIE_SLOWDOWN, LINK_DEGRADE, SERVER_STALL
 from repro.serve.qos import TenantQoS
 from repro.serve.server import TenantSpec
-from repro.sim.racecheck import RaceChecker
+from repro.sim.racecheck import RaceChecker, perturbed, result_digest
 from repro.workloads.socialgraph import SocialGraphConfig, social_graph_trace
 
 RATE_QPS = 20_000.0
@@ -117,7 +111,7 @@ def test_byte_identical_determinism(sim_config):
     config = _config(policy="hedged", faults=_all_faults())
     first = run_cluster(config, sim_config)
     second = run_cluster(config, sim_config)
-    assert cluster_digest(first) == cluster_digest(second)
+    assert result_digest(first) == result_digest(second)
     assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
         second.to_dict(), sort_keys=True
     )
@@ -127,7 +121,9 @@ def test_byte_identical_determinism(sim_config):
 def test_perturbation_independence_with_faults(sim_config, policy):
     """Same result under >= 4 seeded tie-break shuffles, faults active."""
     config = _config(policy=policy, faults=_all_faults())
-    report = cluster_perturbed(config, sim_config, seeds=(1, 2, 3, 4))
+    report = perturbed(
+        lambda seed: run_cluster(config, sim_config, tiebreak_seed=seed), (1, 2, 3, 4)
+    )
     assert report.identical, report.render()
 
 
@@ -195,7 +191,7 @@ def test_backend_override_changes_result(sim_config):
         _config(backend_overrides=(("s1", "cxl_lmb"),)), sim_config
     )
     assert mixed.overall["completed"] == base.overall["completed"]
-    assert cluster_digest(mixed) != cluster_digest(base)
+    assert result_digest(mixed) != result_digest(base)
 
 
 def test_max_time_truncates_run(sim_config):

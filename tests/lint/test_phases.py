@@ -90,12 +90,12 @@ def test_real_tree_phase_classification() -> None:
     index = _real_tree_index()
     # Completion callbacks scheduled on the loop run during waves ...
     assert index.phase("repro.serve.server.StorageServer._complete") == "wave"
-    assert (
-        index.phase("repro.serve.server.StorageServer._dispatch.<locals>.on_nand")
-        == "wave"
-    )
+    assert index.phase("repro.cluster.node.ClusterNode._complete") == "wave"
+    assert index.phase("repro.sim.queueing.StagePipeline.submit.<locals>.on_nand") == "wave"
     # ... settlers (and code only they reach) run in the settle phase ...
     assert index.phase("repro.serve.engine.FifoResource._settle") == "settle"
+    assert index.phase("repro.serve.server.ServerCore._pump_now") == "settle"
+    assert index.phase("repro.serve.server.ServerCore._execute") == "settle"
     assert index.phase("repro.cluster.node.ClusterNode._dispatch") == "settle"
     # ... and entry points reachable from both sides classify as both.
     assert index.phase("repro.serve.engine.FifoResource.acquire") == "both"

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.qos import TenantQoS
-from repro.serve.server import ServeConfig, TenantSpec, serve, serve_perturbed
+from repro.serve.server import ServeConfig, TenantSpec, serve
+from repro.sim.racecheck import perturbed
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 
 REQUESTS = 32
@@ -66,7 +67,8 @@ def test_new_backends_run_clean_under_racecheck(backend):
 
 @pytest.mark.parametrize("backend", ["cxl_lmb", "nvme_fdp"])
 def test_new_backends_are_tiebreak_independent(backend):
-    report = serve_perturbed(_config(backend=backend), seeds=(1, 2, 3, 4))
+    config = _config(backend=backend)
+    report = perturbed(lambda seed: serve(config, tiebreak_seed=seed), (1, 2, 3, 4))
     assert report.identical, report.render()
 
 

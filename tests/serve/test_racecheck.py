@@ -6,8 +6,8 @@ import pytest
 
 from repro.serve.engine import EventLoop, FifoResource
 from repro.serve.qos import TenantQoS, TokenBucket
-from repro.serve.server import ServeConfig, StorageServer, TenantSpec, serve, serve_perturbed
-from repro.sim.racecheck import RaceChecker, RaceError
+from repro.serve.server import ServeConfig, StorageServer, TenantSpec, serve
+from repro.sim.racecheck import RaceChecker, RaceError, perturbed
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 
 REQUESTS = 48
@@ -168,7 +168,8 @@ def test_serve_with_qos_knobs_runs_clean_under_racecheck():
 
 
 def test_perturbation_proves_tiebreak_independence():
-    report = serve_perturbed(_config(), seeds=tuple(range(1, 9)))
+    config = _config()
+    report = perturbed(lambda seed: serve(config, tiebreak_seed=seed), tuple(range(1, 9)))
     assert len(report.digests) == 8
     assert report.identical, report.render()
     assert report.drifted == ()
