@@ -88,8 +88,8 @@ class ClusterNode(ServerCore):
         # Admissions settle before the pump so a same-pass fetch sees
         # every push of the pass (settle passes repeat until quiescent
         # either way; the order just saves a pass).
-        loop.add_settler(self._settle_admissions)
-        loop.add_settler(self._settle_pump)
+        self._wake_admissions = loop.add_settler(self._settle_admissions)
+        self._wake_pump = loop.add_settler(self._settle_pump)
 
     # --- fault state ---------------------------------------------------
     def begin_fault(self, spec: FaultSpec) -> None:
@@ -144,6 +144,7 @@ class ClusterNode(ServerCore):
         self.metrics.attempts += 1
         if self.loop.running:
             self._pending_admissions.append(attempt)
+            self._wake_admissions()
             return
         self._admit(attempt)
 

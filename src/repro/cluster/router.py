@@ -196,7 +196,7 @@ class Router:
                 )
         if racecheck is not None:
             racecheck.track(self, "router", commutes=_router_ops_commute)
-        loop.add_settler(self._settle)
+        self._wake = loop.add_settler(self._settle)
         for node in nodes.values():
             node.on_attempt_done = self.on_attempt_done
 
@@ -221,6 +221,7 @@ class Router:
             self._seq += 1
             if self.loop.running:
                 self._pending_requests.append(request)
+                self._wake()
             else:
                 self._route(request)
 
@@ -278,6 +279,7 @@ class Router:
             if request.satisfied_ns is None and not request.hedge_due:
                 request.hedge_due = True
                 self._pending_hedges.append(request)
+                self._wake()
 
         return hedge_due
 

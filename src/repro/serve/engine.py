@@ -18,7 +18,22 @@ Determinism contract
   order.  ``tie`` is 0 in normal operation; the perturbation harness
   (``tiebreak_seed``) fills it with seeded uniforms to *shuffle* the
   order of simultaneous events — a correct program's results must not
-  change (see :mod:`repro.sim.racecheck`).
+  change (see :mod:`repro.sim.racecheck`).  The heap holds
+  ``(time_ns, tie, seq, event)`` tuples; ``seq`` is unique, so the
+  tuple compare never reaches the event object.
+- Each virtual timestamp runs a *wave* (every event at that time) and
+  then *settle passes*.  A settler runs in a pass only if it was woken
+  (:meth:`EventLoop.add_settler` returns the ``wake`` handle) since it
+  last ran, and woken settlers run in ascending registration order.  A
+  settler woken at or before the pass's current position — including
+  one that wakes itself — runs in the *next* pass.  That is exactly the
+  call order of polling every settler on every pass and skipping the
+  ones with nothing buffered, so the cost is proportional to the work
+  while the order stays fixed at construction, tie-break independent.
+  A component that buffers settle work without calling ``wake()``
+  loses it; the runtime sanitizer (``REPRO_SANITIZE=1``) polls the
+  un-woken settlers whenever a timestamp goes quiescent and raises
+  :class:`~repro.sim.sanitize.SanitizeError` on such a lost wakeup.
 - The loop never reads a wall clock and owns no RNG of consequence;
   any randomness (open-loop arrival processes) lives in the callers,
   which draw from seeded generators in event-callback order — itself
@@ -41,6 +56,7 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
+from repro.sim import sanitize
 from repro.sim.racecheck import WRITE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,20 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ScheduledEvent:
     """Handle for a pending callback; ``cancel()`` to drop it."""
 
-    __slots__ = ("time_ns", "tie", "seq", "callback", "cancelled", "origin")
+    __slots__ = ("callback", "cancelled", "origin")
 
     def __init__(
-        self,
-        time_ns: float,
-        seq: int,
-        callback: Callable[[], None],
-        *,
-        tie: float = 0.0,
-        origin: "EventInfo | None" = None,
+        self, callback: Callable[[], None], origin: "EventInfo | None" = None
     ) -> None:
-        self.time_ns = time_ns
-        self.tie = tie
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         #: The event (racecheck identity) that scheduled this one.
@@ -72,9 +79,6 @@ class ScheduledEvent:
     def cancel(self) -> None:
         self.cancelled = True
         self.callback = _noop
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time_ns, self.tie, self.seq) < (other.time_ns, other.tie, other.seq)
 
 
 def _noop() -> None:
@@ -109,34 +113,67 @@ class EventLoop:
         if not math.isfinite(start_ns) or start_ns < 0:
             raise ValueError(f"loop cannot start at {start_ns!r}")
         self.now_ns = float(start_ns)
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self.processed = 0
         self.racecheck = racecheck
         self.running = False
         self._settlers: list[Callable[[], bool]] = []
+        #: Per settler: woken since it last ran (queued to run).
+        self._woken: list[bool] = []
+        #: Woken settlers due in this (or the first coming) pass: a heap
+        #: of registration indices, all above ``_settle_pos``.
+        self._due: list[int] = []
+        #: Woken at or before the running pass's position: next pass.
+        self._next_pass: list[int] = []
+        #: Index of the settler the current pass is at; -1 between passes.
+        self._settle_pos = -1
         self._tiebreak = (
             random.Random(tiebreak_seed) if tiebreak_seed is not None else None
         )
 
-    def add_settler(self, settler: Callable[[], bool]) -> None:
-        """Register a settle hook, called between timestamp waves.
+    def add_settler(self, settler: Callable[[], bool]) -> Callable[[], None]:
+        """Register a settle hook; returns its ``wake()`` handle.
 
         ``run`` processes each virtual timestamp in two phases: the
         *wave* drains every event at that time (in tie-break order),
-        then every settler runs — in registration order, which is fixed
-        at construction and therefore tie-break independent.  Deferring
-        contended decisions (resource admission, ring arbitration) to
-        the settle phase is what makes them order-independent: a
-        settler sees the aggregate effect of the whole wave, never a
-        tie-break-dependent prefix of it.  A settler returns whether it
-        did any work; settle passes repeat until a pass does nothing
-        and no same-time events remain.
+        then settle passes run the woken settlers — in registration
+        order, which is fixed at construction and therefore tie-break
+        independent.  Deferring contended decisions (resource
+        admission, ring arbitration) to the settle phase is what makes
+        them order-independent: a settler sees the aggregate effect of
+        the whole wave, never a tie-break-dependent prefix of it.
+
+        The wake contract: a component calls ``wake()`` whenever it
+        buffers work for its settler.  A settler runs once per pass it
+        was woken for; one woken at or before the running pass's
+        position (itself included) runs in the next pass, one woken
+        later in the order still runs in this pass.  A settler returns
+        whether it did any work; settle passes repeat until a pass does
+        nothing and no same-time events remain.  Waking is idempotent
+        until the settler runs, and a wake outside ``run`` takes effect
+        at the first settle pass of the next run.
         """
+        index = len(self._settlers)
         self._settlers.append(settler)
+        self._woken.append(False)
+        woken = self._woken
+        due = self._due
+        next_pass = self._next_pass
+
+        def wake() -> None:
+            if woken[index]:
+                return
+            woken[index] = True
+            if index > self._settle_pos:
+                heapq.heappush(due, index)
+            else:
+                next_pass.append(index)
+
+        return wake
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for *_, event in self._heap if not event.cancelled)
 
     def schedule(self, delay_ns: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Run ``callback`` ``delay_ns`` virtual nanoseconds from now."""
@@ -146,34 +183,38 @@ class EventLoop:
 
     def schedule_at(self, time_ns: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Run ``callback`` at absolute virtual time ``time_ns``."""
-        if not math.isfinite(time_ns):
-            raise ValueError(f"cannot schedule at {time_ns!r}")
-        if time_ns < self.now_ns:
+        # One chained compare rejects the past, +inf and NaN alike.
+        if not self.now_ns <= time_ns < math.inf:
+            if not math.isfinite(time_ns):
+                raise ValueError(f"cannot schedule at {time_ns!r}")
             raise ValueError(
                 f"cannot schedule into the past ({time_ns} < now {self.now_ns})"
             )
-        tie = self._tiebreak.random() if self._tiebreak is not None else 0.0
-        origin = self.racecheck.current() if self.racecheck is not None else None
-        event = ScheduledEvent(
-            time_ns, next(self._seq), callback, tie=tie, origin=origin
+        checker = self.racecheck
+        event = ScheduledEvent(callback, checker.current() if checker is not None else None)
+        tiebreak = self._tiebreak
+        heapq.heappush(
+            self._heap,
+            (
+                time_ns,
+                tiebreak.random() if tiebreak is not None else 0.0,
+                next(self._seq),
+                event,
+            ),
         )
-        heapq.heappush(self._heap, event)
         return event
-
-    def _next_event(self) -> "ScheduledEvent | None":
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
 
     def run(self, until_ns: float | None = None) -> float:
         """Process events in ``(time, tie, seq)`` order; returns final time.
 
         Each virtual timestamp runs in two phases: the *wave* drains
         every event at that time (including events the wave itself
-        schedules at the same time), then the registered settlers run
-        until quiescent (see :meth:`add_settler`).  Settling may spawn
-        new same-time events, which start another wave; time advances
-        only when a timestamp is fully quiescent.
+        schedules at the same time), then settle passes run the woken
+        settlers until quiescent (see :meth:`add_settler` for the wake
+        contract and the next-pass rule).  Settling may spawn new
+        same-time events, which start another wave; time advances only
+        when a timestamp is fully quiescent: a pass did no work and no
+        event remains at the current time.
 
         With ``until_ns`` the loop stops *before* any event scheduled
         later than the horizon and parks the clock exactly there —
@@ -182,48 +223,87 @@ class EventLoop:
         """
         if until_ns is not None and until_ns < self.now_ns:
             raise ValueError(f"horizon {until_ns} is in the past (now {self.now_ns})")
+        horizon_ns = math.inf if until_ns is None else until_ns
         checker = self.racecheck
+        check_wakeups = sanitize.active()
+        heap = self._heap
+        pop = heapq.heappop
+        settlers = self._settlers
+        woken = self._woken
+        due = self._due
+        next_pass = self._next_pass
+        processed = self.processed
         self.running = True
         try:
-            while True:
-                head = self._next_event()
-                if head is None:
+            while heap:
+                now_ns, _tie, _seq, head = heap[0]
+                if head.cancelled:
+                    pop(heap)
+                    continue
+                if now_ns > horizon_ns:
                     break
-                if until_ns is not None and head.time_ns > until_ns:
-                    break
-                now = head.time_ns
-                self.now_ns = now
+                self.now_ns = now_ns
                 while True:
-                    event = self._next_event()
-                    # Bit-exact equality IS the loop's definition of
-                    # simultaneity: the (time, tie, seq) heap order uses
-                    # the same comparison, so the wave groups exactly
-                    # the events the tie-break could permute.
-                    while event is not None and event.time_ns == now:  # simlint: allow[float-time-equality]
-                        heapq.heappop(self._heap)
-                        self.processed += 1
+                    while heap:
+                        head_ns, _tie, _seq, event = heap[0]
+                        # Bit-exact equality IS the loop's definition of
+                        # simultaneity: the (time, tie, seq) heap order uses
+                        # the same comparison, so the wave groups exactly
+                        # the events the tie-break could permute.
+                        if head_ns != now_ns:  # simlint: allow[float-time-equality]
+                            break
+                        pop(heap)
+                        if event.cancelled:
+                            continue
+                        processed += 1
                         if checker is not None:
-                            checker.begin_event(now, _label(event.callback), event.origin)
+                            checker.begin_event(now_ns, _label(event.callback), event.origin)
                         event.callback()
-                        event = self._next_event()
-                    if not self._settlers:
+                    if not settlers:
                         break
                     if checker is not None:
-                        checker.begin_settle(now)
+                        checker.begin_settle(now_ns)
                     settled = False
-                    for settler in self._settlers:
-                        settled = settler() or settled
-                    event = self._next_event()
+                    while due:
+                        index = pop(due)
+                        self._settle_pos = index
+                        woken[index] = False
+                        if settlers[index]():
+                            settled = True
+                    self._settle_pos = -1
+                    if next_pass:
+                        for index in next_pass:
+                            heapq.heappush(due, index)
+                        next_pass.clear()
+                    if settled:
+                        continue
+                    while heap and heap[0][3].cancelled:
+                        pop(heap)
+                    head_ns = heap[0][0] if heap else math.inf
                     # Same bit-exact simultaneity check as the wave above.
-                    if not settled and (event is None or event.time_ns != now):  # simlint: allow[float-time-equality]
+                    if head_ns != now_ns:  # simlint: allow[float-time-equality]
+                        if check_wakeups:
+                            self._check_lost_wakeups()
                         break
         finally:
             self.running = False
+            self.processed = processed
+            self._settle_pos = -1
         if checker is not None:
             checker.end_run()
         if until_ns is not None:
             self.now_ns = max(self.now_ns, until_ns)
         return self.now_ns
+
+    def _check_lost_wakeups(self) -> None:
+        """Sanitizer: no un-woken settler holds work at quiescence."""
+        for index, settler in enumerate(self._settlers):
+            if not self._woken[index] and settler():
+                raise sanitize.SanitizeError(
+                    f"lost wakeup: settler {_label(settler)} had buffered work at "
+                    f"t={self.now_ns}ns but was never woken; call the wake() handle "
+                    "add_settler returned whenever work is buffered"
+                )
 
 
 def _fifo_ops_commute(op_a: str, op_b: str) -> bool:
@@ -287,6 +367,7 @@ class FifoResource:
         "busy_ns",
         "served",
         "_race",
+        "_wake",
     )
 
     def __init__(self, loop: EventLoop, servers: int = 1, *, name: str = "") -> None:
@@ -307,7 +388,7 @@ class FifoResource:
             self._race.track(
                 self, name or f"fifo:{servers}", commutes=_fifo_ops_commute
             )
-        loop.add_settler(self._settle)
+        self._wake = loop.add_settler(self._settle)
 
     @property
     def queued(self) -> int:
@@ -331,7 +412,8 @@ class FifoResource:
         contenders are admitted in key order at settle time, so the
         outcome does not depend on event tie-breaks.
         """
-        if not math.isfinite(service_ns) or service_ns < 0:
+        # One chained compare rejects negatives, +inf and NaN alike.
+        if not 0.0 <= service_ns < math.inf:
             raise ValueError(f"invalid service time {service_ns!r}")
         if self.loop.running:
             if self._race is not None:
@@ -339,6 +421,7 @@ class FifoResource:
             order = next(self._arrivals)
             sort_key = (float(key) if key is not None else math.inf, order)
             self._pending.append((sort_key, service_ns, done))
+            self._wake()
             return
         if self._race is not None:
             self._race.access(self, WRITE, "start" if self._idle else "enqueue")
@@ -352,10 +435,12 @@ class FifoResource:
 
     def _settle(self) -> bool:
         """Admit buffered wave arrivals in stable-key order."""
-        if not self._pending:
+        batch = self._pending
+        if not batch:
             return False
-        batch = sorted(self._pending, key=lambda entry: entry[0])
-        self._pending.clear()
+        self._pending = []
+        if len(batch) > 1:
+            batch.sort(key=lambda entry: entry[0])
         for _sort_key, service_ns, done in batch:
             if self._race is not None:
                 self._race.access(self, WRITE, "start" if self._idle else "enqueue")
@@ -366,7 +451,8 @@ class FifoResource:
         self._idle -= 1
         self.busy_ns += service_ns
         self.served += 1
-        self.loop.schedule(service_ns, lambda: self._finish(done))
+        loop = self.loop
+        loop.schedule_at(loop.now_ns + service_ns, lambda: self._finish(done))
 
     def _finish(self, done: Callable[[float], None]) -> None:
         if self._race is not None:

@@ -141,7 +141,9 @@ class ServerCore:
     ``_dispatch`` (what a fetched entry does: typically ``_execute``
     then ``stages.submit``, with ``_release`` on completion), and
     register :meth:`_settle_pump` as a settler after any settler that
-    feeds the rings.
+    feeds the rings, keeping the returned wake handle as
+    ``_wake_pump`` (``_pump`` calls it when it defers to the settle
+    phase).
     """
 
     def __init__(
@@ -234,6 +236,7 @@ class ServerCore:
         """
         if self.loop.running:
             self._pump_needed = True
+            self._wake_pump()
             return
         self._pump_now()
 
@@ -353,7 +356,7 @@ class StorageServer(ServerCore):
             fine_grained=config.fine_grained,
             racecheck=racecheck,
         )
-        self.loop.add_settler(self._settle_pump)
+        self._wake_pump = self.loop.add_settler(self._settle_pump)
         for state in self._tenants:
             state.client.bind(self.loop, self._make_submit(state))
             if racecheck is None:

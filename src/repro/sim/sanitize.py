@@ -14,6 +14,10 @@ actually does.  When sanitizing is active, closing a request's root
   charged the ledger behind the traces' back (the derived-view
   invariant of PR 1, now asserted every request).
 
+The event loop (:class:`repro.serve.engine.EventLoop`) adds a lost-
+wakeup check: at every quiescent timestamp, no settler that is not
+woken may still hold work.
+
 Two ways to switch it on:
 
 - environment: ``REPRO_SANITIZE=1`` (CI runs the whole pytest suite

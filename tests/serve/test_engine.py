@@ -1,10 +1,14 @@
 """Tests for the virtual-time event loop and FIFO resources."""
 
+import heapq
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.engine import EventLoop, FifoResource
+from repro.sim.sanitize import SanitizeError, SimSanitizer
 
 
 def test_events_fire_in_time_order():
@@ -149,3 +153,184 @@ def test_zero_service_completes_at_current_time():
     resource.acquire(0.0, lambda end: ends.append(end))
     loop.run()
     assert ends == [0.0]
+
+
+# --- wake-driven settlers ---------------------------------------------
+
+
+def test_add_settler_returns_a_wake_handle_that_runs_the_settler_once(monkeypatch):
+    # The sanitizer's lost-wakeup check polls un-woken settlers; this
+    # test counts every call, so it runs with the sanitizer off.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    loop = EventLoop()
+    calls = []
+
+    def settler():
+        calls.append(loop.now_ns)
+        return True
+
+    wake = loop.add_settler(settler)
+    assert callable(wake)
+    # Woken while the loop is idle: runs once, at the first settle pass.
+    wake()
+    wake()
+    loop.schedule(3.0, lambda: None)
+    loop.run()
+    assert calls == [3.0]
+    # Two wakes in one wave still run it once; an un-woken timestamp
+    # never calls it.
+    loop.schedule_at(5.0, wake)
+    loop.schedule_at(5.0, wake)
+    loop.schedule_at(9.0, lambda: None)
+    loop.run()
+    assert calls == [3.0, 5.0]
+
+
+def test_sanitizer_reports_a_lost_wakeup():
+    loop = EventLoop()
+    buffered = []
+
+    def forgetful_settler():
+        if not buffered:
+            return False
+        buffered.clear()
+        return True
+
+    loop.add_settler(forgetful_settler)
+    # Buffers settle work but never calls the wake handle.
+    loop.schedule(1.0, lambda: buffered.append("job"))
+    with SimSanitizer():
+        with pytest.raises(SanitizeError, match="lost wakeup.*forgetful_settler"):
+            loop.run()
+
+
+class _PollAllLoop:
+    """Reference loop: every settler polled on every settle pass."""
+
+    def __init__(self):
+        self.now_ns = 0.0
+        self.processed = 0
+        self._heap = []
+        self._seq = 0
+        self._settlers = []
+
+    def add_settler(self, settler):
+        self._settlers.append(settler)
+
+    def schedule(self, delay_ns, callback):
+        heapq.heappush(self._heap, (self.now_ns + delay_ns, self._seq, callback))
+        self._seq += 1
+
+    def run(self):
+        heap = self._heap
+        while heap:
+            now_ns = heap[0][0]
+            self.now_ns = now_ns
+            while True:
+                while heap and heap[0][0] == now_ns:
+                    heapq.heappop(heap)[2]()
+                    self.processed += 1
+                settled = False
+                for settler in self._settlers:
+                    settled = settler() or settled
+                if not settled and not (heap and heap[0][0] == now_ns):
+                    break
+
+
+def _actions(settlers):
+    """A settler action: the settlers to hand work to (and wake), plus an
+    optional event ``(delay_ns, targets)`` that hands work out later."""
+    targets = st.lists(st.integers(0, settlers - 1), max_size=3)
+    event = st.none() | st.tuples(st.sampled_from([0.0, 0.0, 1.0, 4.0]), targets)
+    return st.tuples(targets, event)
+
+
+@st.composite
+def _settler_graphs(draw):
+    settlers = draw(st.integers(1, 5))
+    scripts = [
+        draw(st.lists(_actions(settlers), max_size=4)) for _ in range(settlers)
+    ]
+    initial = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.0]),
+                st.lists(st.integers(0, settlers - 1), min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return settlers, scripts, initial
+
+
+def _replay(loop, wake_handles, graph):
+    """Run ``graph`` on ``loop``; returns the log of events and settler calls.
+
+    A settler drains all the work handed to it and then performs the
+    next action of its script, if any; a call with no work does nothing.
+    """
+    settlers, scripts, initial = graph
+    log = []
+    work = [0] * settlers
+    cursor = [0] * settlers
+    events = iter(range(10_000))
+
+    def hand_out(targets):
+        for target in targets:
+            work[target] += 1
+            wake_handles[target]()
+
+    def schedule(delay_ns, targets):
+        event_id = next(events)
+
+        def fire():
+            log.append(("event", event_id, loop.now_ns))
+            hand_out(targets)
+
+        loop.schedule(delay_ns, fire)
+
+    def make_settler(index):
+        def settler():
+            log.append(("call", index, loop.now_ns, work[index] > 0))
+            if not work[index]:
+                return False
+            work[index] = 0
+            if cursor[index] < len(scripts[index]):
+                targets, event = scripts[index][cursor[index]]
+                cursor[index] += 1
+                hand_out(targets)
+                if event is not None:
+                    schedule(*event)
+            return True
+
+        return settler
+
+    for index in range(settlers):
+        # The poll-all reference returns no handle; it needs no wakes.
+        wake_handles[index] = loop.add_settler(make_settler(index)) or (lambda: None)
+    for delay_ns, targets in initial:
+        schedule(delay_ns, targets)
+    loop.run()
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_settler_graphs())
+def test_wake_driven_settling_matches_a_poll_all_loop(graph):
+    settlers = graph[0]
+    reference = _PollAllLoop()
+    expected = _replay(reference, [None] * settlers, graph)
+    useful = [entry for entry in expected if entry[0] == "event" or entry[3]]
+    # Same events in the same order, and exactly the reference's useful
+    # settler calls in the same order: a woken settler always has work.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_SANITIZE", raising=False)
+        loop = EventLoop()
+        assert _replay(loop, [None] * settlers, graph) == useful
+    assert loop.processed == reference.processed
+    # Under the sanitizer the lost-wakeup check also polls the un-woken
+    # settlers at each quiescent timestamp: it finds nothing to report.
+    with SimSanitizer():
+        checked = _replay(EventLoop(), [None] * settlers, graph)
+    assert [entry for entry in checked if entry[0] == "event" or entry[3]] == useful
