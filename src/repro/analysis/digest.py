@@ -57,7 +57,11 @@ def digest_config(**overrides: object) -> SimConfig:
 
 
 def _run_digest_workload(system: StorageSystem, *, seed: int) -> None:
-    """Drive the deterministic op mix: reads with reuse, small writes."""
+    """Drive the deterministic op mix: reads with reuse, small writes.
+
+    Each read's demand is appended to ``system.demands`` for the
+    fingerprint.
+    """
     system.create_file(DIGEST_FILE, DIGEST_FILE_BYTES)
     fd = system.open(DIGEST_FILE, O_RDWR | O_FINE_GRAINED)
     rng = random.Random(seed)
@@ -74,10 +78,12 @@ def _run_digest_workload(system: StorageSystem, *, seed: int) -> None:
             # Repeat a previous range: exercises cache hits/promotion.
             offset, size = rng.choice(recent)
             system.read(fd, offset, size)
+            system.demands.append(system.last_demand)
         else:
             size = rng.choice(DIGEST_SIZES)
             offset = rng.randrange(0, DIGEST_FILE_BYTES - size)
             system.read(fd, offset, size)
+            system.demands.append(system.last_demand)
             recent.append((offset, size))
             if len(recent) > 32:
                 recent.pop(0)

@@ -6,7 +6,7 @@ from repro.analysis.metrics import SYSTEM_ORDER, WorkloadComparison
 from repro.config import SimConfig
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
 from repro.system import StorageSystem, SystemResult, build_system
-from repro.workloads.trace import ReadOp, Trace, WriteOp
+from repro.workloads.trace import ReadOp, Trace
 
 
 def run_trace_system(
@@ -19,9 +19,10 @@ def run_trace_system(
     """Run one trace against a freshly built system; returns the system.
 
     Use this instead of :func:`run_trace_on` when the caller needs the
-    live system afterwards — e.g. the per-request queueing demands
-    recorded off its stage traces (``system.demands``), which the
-    qd-sweep experiment replays through the event-level simulator.
+    live system afterwards — e.g. the per-read queueing demands, which
+    this harness collects into ``system.demands`` (the system itself
+    keeps none) and the qd-sweep experiment replays through the
+    event-level simulator.
 
     Every file is opened with ``O_FINE_GRAINED`` (unless disabled) —
     systems that do not understand the flag simply ignore it, exactly
@@ -34,13 +35,9 @@ def run_trace_system(
         system.create_file(spec.path, spec.size)
         fds[spec.path] = system.open(spec.path, flags)
     for op in trace.ops():
+        demand = system.apply(op, fds[op.path])
         if isinstance(op, ReadOp):
-            system.read(fds[op.path], op.offset, op.size)
-        elif isinstance(op, WriteOp):
-            payload = op.payload() if config.transfer_data else b"\x00" * op.size
-            system.write(fds[op.path], op.offset, payload)
-        else:  # pragma: no cover - trace model is closed
-            raise TypeError(f"unknown op {op!r}")
+            system.demands.append(demand)
     return system
 
 

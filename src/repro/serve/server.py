@@ -10,13 +10,14 @@ baseline) on the deterministic event loop:
    NVMe submission ring (:mod:`repro.serve.nvme_mq`);
 3. whenever a device slot is free, the arbiter (RR or NVMe-style WRR)
    picks the next ring to fetch from;
-4. the fetched op executes against the storage system, which records
-   the request's :class:`~repro.sim.trace.StageTrace` exactly as in
-   single-stream mode — the runtime sanitizer's ledger==trace-sums
-   invariant is checked at every root-trace close, now with many
-   requests in flight;
-5. the finished trace's queueing demand (``StageTrace.demand``) is
-   submitted to the server's :class:`~repro.sim.queueing.StagePipeline`
+4. the fetched op executes against the storage system
+   (``StorageSystem.apply``), which records the request's
+   :class:`~repro.sim.trace.StageTrace` exactly as in single-stream
+   mode and returns its queueing demand — the runtime sanitizer's
+   ledger==trace-sums invariant is checked at every root-trace close,
+   now with many requests in flight;
+5. that demand is submitted to the server's
+   :class:`~repro.sim.queueing.StagePipeline`
    (host -> NAND channel -> PCIe on the loop), so the op's *completion
    time* reflects contention with every other in-flight request;
 6. completion feeds the tenant's tail-latency accounting and, for
@@ -46,7 +47,7 @@ from repro.sim import racecheck as racecheck_mod
 from repro.sim.queueing import RequestDemand, StagePipeline
 from repro.sim.racecheck import RaceChecker
 from repro.system import StorageSystem, build_system
-from repro.workloads.trace import Op, ReadOp, Trace, WriteOp
+from repro.workloads.trace import Op, ReadOp, Trace
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,9 @@ class ServerTenant:
 class ServerCore:
     """What a storage server and a cluster node share.
 
-    One registered :class:`~repro.system.StorageSystem` (retaining each
-    finished root trace so a dispatched op's demand can be read off
-    it), per-tenant NVMe submission rings behind the RR/WRR arbiter,
+    One registered :class:`~repro.system.StorageSystem` (which hands
+    back each executed op's demand and keeps none), per-tenant NVMe
+    submission rings behind the RR/WRR arbiter,
     ``max_inflight`` device slots, and a
     :class:`~repro.sim.queueing.StagePipeline` whose stage FIFOs are
     named with ``prefix``.  The settle-deferred pump fetches from the
@@ -162,7 +163,6 @@ class ServerCore:
         self.loop = loop
         self.racecheck = racecheck
         self.system: StorageSystem = build_system(system, sim_config)
-        self.system.tracer.retain = True
         config = self.system.config
         self.stages = StagePipeline(
             loop,
@@ -278,19 +278,7 @@ class ServerCore:
             self.max_inflight_observed = self.inflight
         if self.racecheck is not None:
             self.racecheck.access(self.system, "write", "io")
-        fd = state.fds[op.path]
-        if isinstance(op, ReadOp):
-            self.system.read(fd, op.offset, op.size)
-        elif isinstance(op, WriteOp):
-            payload = (
-                op.payload()
-                if self.system.config.transfer_data
-                else b"\x00" * op.size
-            )
-            self.system.write(fd, op.offset, payload)
-        else:  # pragma: no cover - trace model is closed
-            raise TypeError(f"unknown op {op!r}")
-        return self.system.tracer.finished.pop().demand()
+        return self.system.apply(op, state.fds[op.path])
 
     def _release(self) -> None:
         """An executed op left the stage pipeline: free its device slot."""

@@ -214,13 +214,10 @@ class Tracer:
     of the recorded stages.
     """
 
-    def __init__(self, resources: "ResourceModel | None" = None, *, retain: bool = False) -> None:
+    def __init__(self, resources: "ResourceModel | None" = None) -> None:
         self.resources = resources
         #: Catch-all trace for work outside any request.
         self.ambient = StageTrace("ambient")
-        #: When true, completed root traces are kept in ``finished``.
-        self.retain = retain
-        self.finished: list[StageTrace] = []
         self._stack: list[StageTrace] = []
         #: Mirror of every charge folded through this tracer plus the
         #: ledger totals at attach time — the runtime sanitizer compares
@@ -254,17 +251,15 @@ class Tracer:
 
         When sanitizing is active (``REPRO_SANITIZE=1`` or an open
         :class:`repro.sim.sanitize.SimSanitizer`), closing a *root*
-        trace verifies the per-request invariants: finite non-negative
-        stage costs and ledger totals equal to the folded charges.
+        trace verifies that the ledger totals equal the folded charges.
+        The stages themselves need no check here: :class:`Stage`
+        rejects a malformed one when it is built.
         """
         if not self._stack:
             raise sanitize.SanitizeError("Tracer.end() without a matching begin()")
         trace = self._stack.pop()
-        if not self._stack:
-            if sanitize.active():
-                sanitize.verify_root(self, trace)
-            if self.retain:
-                self.finished.append(trace)
+        if not self._stack and sanitize.active():
+            sanitize.verify_ledger(self)
         return trace
 
     @contextmanager

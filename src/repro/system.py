@@ -22,6 +22,8 @@ opened by this facade; the layers below record stages into it, and the
 QD-1 latency, the per-request queueing demand, and the per-stage
 anatomy are all read off the finished trace (charging folds into the
 :class:`~repro.sim.resources.ResourceModel` as stages are recorded).
+The demand is computed once per read and write and handed to the
+caller as ``last_demand``; the facade keeps no per-request record.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.kernel.vfs import O_RDONLY, FileTable, OpenFile
 from repro.sim.latency import LatencyRecorder, LatencyStats
 from repro.sim.queueing import RequestDemand
 from repro.ssd.device import SSDDevice
+from repro.workloads.trace import Op, ReadOp, WriteOp
 
 
 @dataclass
@@ -97,8 +100,12 @@ class StorageSystem(abc.ABC):
         )
         self.files = FileTable(config)
         self.latency = LatencyRecorder()
-        #: Per-read queueing demand projected from each finished trace
-        #: (consumed by experiments/qd_sweep's event-level simulator).
+        #: Queueing demand of the last read or write, projected once
+        #: from its closed root trace.
+        self.last_demand: RequestDemand | None = None
+        #: Per-read demands, appended only by harnesses that replay or
+        #: fingerprint them (``run_trace_system`` for qd_sweep, the
+        #: digest workload); the facade itself keeps none.
         self.demands: list[RequestDemand] = []
         #: Summed critical-path ns per stage name across all reads.
         self._stage_latency: dict[str, float] = {}
@@ -129,8 +136,8 @@ class StorageSystem(abc.ABC):
         """POSIX-style positional read with full metering.
 
         Opens the request's root :class:`StageTrace`; latency, the
-        queueing demand, and the stage anatomy are derived views of
-        the record once ``_read`` returns.
+        queueing demand (``last_demand``), and the stage anatomy are
+        derived views of the record once ``_read`` returns.
         """
         entry = self.files.get(fd)
         self.tracer.begin("read", size=size)
@@ -140,7 +147,7 @@ class StorageSystem(abc.ABC):
             trace = self.tracer.end()
         self.device.traffic.demand(size)
         self.latency.record(trace.latency_ns(), key=size)
-        self.demands.append(trace.demand())
+        self.last_demand = trace.demand()
         for name, ns in trace.latency_by_name().items():
             self._stage_latency[name] = self._stage_latency.get(name, 0.0) + ns
         self.reads += 1
@@ -159,9 +166,25 @@ class StorageSystem(abc.ABC):
         try:
             self._write(entry, offset, data)
         finally:
-            self.tracer.end()
+            trace = self.tracer.end()
             self.device.traffic.write_context = False
+        self.last_demand = trace.demand()
         self.writes += 1
+
+    def apply(self, op: Op, fd: int) -> RequestDemand:
+        """Execute one workload op on ``fd``; return its queueing demand.
+
+        A write carries the op's payload when ``transfer_data`` is on,
+        zero bytes of the same size otherwise.
+        """
+        if isinstance(op, ReadOp):
+            self.read(fd, op.offset, op.size)
+        elif isinstance(op, WriteOp):
+            payload = op.payload() if self.config.transfer_data else b"\x00" * op.size
+            self.write(fd, op.offset, payload)
+        else:  # pragma: no cover - trace model is closed
+            raise TypeError(f"unknown op {op!r}")
+        return self.last_demand
 
     def fsync(self, fd: int) -> None:
         entry = self.files.get(fd)

@@ -62,6 +62,17 @@ def test_ledger_bypass_detected() -> None:
             tracer.end()
 
 
+def test_nan_ledger_bypass_detected() -> None:
+    resources = ResourceModel(channels=2)
+    tracer = Tracer(resources)
+    tracer.begin("read")
+    tracer.host("work", 10.0)
+    resources.host(float("nan"))  # abs(nan - x) > tol is False
+    with SimSanitizer():
+        with pytest.raises(SanitizeError, match="ledger diverged"):
+            tracer.end()
+
+
 def test_mid_run_reset_detected() -> None:
     resources = ResourceModel(channels=2)
     tracer = Tracer(resources)
