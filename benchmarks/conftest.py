@@ -101,10 +101,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         except SyntaxError:
             continue
     link_contexts(contexts)
-    if contexts:
-        # The phase index links lazily; force it here so the analysis
-        # cost lands in this bucket, not inside the first phase rule.
-        contexts[0].phases.linked().phase("")
     flow_s = time.perf_counter() - started  # simlint: allow[virtual-time-purity]
 
     rule_times: list[tuple[str, float]] = []

@@ -4,26 +4,30 @@ The reproduction's central claim — results are a deterministic function
 of config + seed on a virtual clock — is a *discipline*, not a language
 feature.  This package makes the discipline machine-checked:
 
-- :mod:`repro.lint.rules` hold the eight domain rules
-  (``virtual-time-purity``, ``seeded-rng-only``, ``stage-charging``,
-  ``unit-suffix-consistency``, ``deterministic-iteration``,
+- :mod:`repro.lint.rules` hold the ten domain rules: seven
+  discipline rules (``virtual-time-purity``, ``seeded-rng-only``,
+  ``stage-charging``, ``deterministic-iteration``,
   ``shared-state-mutation``, ``float-time-equality``,
-  ``event-tiebreak-dependence``);
+  ``unit-suffix-consistency``) and three dimensional rules
+  (``dimension-mismatch``, ``rate-derivation``,
+  ``suffixless-cost-literal``);
 - :mod:`repro.lint.flow` is the flow analysis behind the alias-aware
   rules: per-module kind/alias tracking plus function summaries a
   shared package index resolves across files;
+  :mod:`repro.lint.units` is the dimensional analysis built on it;
 - :mod:`repro.lint.engine` runs them over a file tree, honouring
   ``# simlint: allow[rule]`` suppressions and reporting allow comments
   that excuse nothing as ``unused-suppression``;
-- :mod:`repro.lint.baseline` grandfathers pre-existing findings;
 - ``python -m repro.lint`` is the CLI that CI gates on.
 
-The static rules are paired with *runtime* checkers the AST cannot
-replace: the sanitizer (:mod:`repro.sim.sanitize`, ``REPRO_SANITIZE=1``)
-asserting per-request trace invariants, and the happens-before race
-detector (:mod:`repro.sim.racecheck`, ``REPRO_RACECHECK=1``) flagging
-order-dependent same-timestamp accesses to shared serving state.  See
-``docs/LINTING.md``.
+The static rules cover only what nothing at runtime enforces.  Order
+independence is checked dynamically: the happens-before race detector
+(:mod:`repro.sim.racecheck`, ``REPRO_RACECHECK=1``) plus seeded
+tie-break perturbation, and :class:`repro.serve.engine.FifoResource`
+rejects an unkeyed acquire while the loop runs.  The sanitizer
+(:mod:`repro.sim.sanitize`, ``REPRO_SANITIZE=1``) asserts per-request
+trace invariants, and the device-backend base classes check their
+subclasses' surface at class creation.  See ``docs/LINTING.md``.
 """
 
 from repro.lint.engine import lint_file, lint_source, run

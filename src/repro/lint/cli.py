@@ -1,11 +1,10 @@
 """``python -m repro.lint``: the simlint command line.
 
-Exit codes: 0 clean (or fully baselined/suppressed), 1 findings
+Exit codes: 0 clean (or every finding suppressed inline), 1 findings
 reported, 2 crash or configuration error (bad invocation, unreadable
-paths, corrupt baseline, internal error) — so CI can tell "the tree
-has findings" from "the linter never actually ran".  See
-``docs/LINTING.md`` for the rule catalogue and the
-suppression/baseline workflow.
+paths, internal error) — so CI can tell "the tree has findings" from
+"the linter never actually ran".  See ``docs/LINTING.md`` for the rule
+catalogue and the suppression syntax.
 """
 
 from __future__ import annotations
@@ -13,15 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.engine import run
 from repro.lint.findings import Finding
 from repro.lint.rules.base import RULES
-
-#: Default baseline location, picked up when it exists in the cwd.
-DEFAULT_BASELINE = "simlint-baseline.json"
 
 #: CLI output modes.
 FORMATS = ("text", "json", "github")
@@ -34,14 +28,11 @@ def _emit_text(findings: list[Finding], quiet: bool) -> None:
         print(finding.render())
 
 
-def _emit_json(findings: list[Finding], stale: list[tuple[str, str, int]]) -> None:
+def _emit_json(findings: list[Finding]) -> None:
     payload = {
         "version": 1,
         "count": len(findings),
         "findings": [finding.to_dict() for finding in findings],
-        "stale_baseline": [
-            {"path": path, "rule": rule, "unused": count} for path, rule, count in stale
-        ],
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -61,7 +52,7 @@ def _escape_property(value: str) -> str:
     return _escape_data(value).replace(":", "%3A").replace(",", "%2C")
 
 
-def _emit_github(findings: list[Finding], stale: list[tuple[str, str, int]]) -> None:
+def _emit_github(findings: list[Finding]) -> None:
     """GitHub Actions workflow commands: inline PR annotations."""
     for finding in findings:
         location = f"file={_escape_property(finding.path)},line={finding.line}"
@@ -69,15 +60,6 @@ def _emit_github(findings: list[Finding], stale: list[tuple[str, str, int]]) -> 
             location += f",endLine={finding.end_line}"
         title = _escape_property(f"simlint[{finding.rule}]")
         print(f"::error {location},title={title}::{_escape_data(finding.message)}")
-    for path, rule, count in stale:
-        message = _escape_data(
-            f"stale baseline entry [{rule}] x{count} — the violations are "
-            "gone; remove it"
-        )
-        print(
-            f"::warning file={_escape_property(path)},"
-            f"title=simlint[baseline]::{message}"
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,44 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="rules",
         metavar="RULE-ID",
         help="run only this rule (repeatable)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true", help="ignore any baseline file"
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="prune stale entries from the existing baseline file "
-        "(warning per pruned entry); new findings are still reported",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="with --update-baseline: write nothing, fail (exit 1) if "
-        "the baseline holds stale entries — the CI staleness gate",
-    )
-    parser.add_argument(
-        "--fix-suppressions",
-        action="store_true",
-        help="delete '# simlint: allow[...]' comments the full rule set "
-        "reports as unused-suppression, then exit",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix-suppressions: print the unified diff of the "
-        "edits without writing them (exit 1 if edits are pending)",
     )
     parser.add_argument(
         "--format",
@@ -159,44 +103,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule_id}: {RULES[rule_id].description}")
         return 0
 
-    if args.dry_run and not args.fix_suppressions:
-        parser.error("--dry-run only applies to --fix-suppressions")
-    if args.check and not args.update_baseline:
-        parser.error("--check only applies to --update-baseline")
-
-    if args.fix_suppressions:
-        if args.rules:
-            parser.error(
-                "--fix-suppressions runs the full rule set (a suppression "
-                "is only provably stale then); drop --rule"
-            )
-        from repro.lint.fix import fix_suppressions
-
-        try:
-            edits, diff = fix_suppressions(args.paths, dry_run=args.dry_run)
-        except OSError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return 2
-        except Exception as exc:  # crash in the engine or the fixer
-            print(
-                f"simlint: internal error: {type(exc).__name__}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.dry_run:
-            if diff:
-                print(diff, end="")
-                print(
-                    f"simlint: would remove {edits} stale allow "
-                    "suppression(s); run without --dry-run to apply",
-                    file=sys.stderr,
-                )
-                return 1
-            print("simlint: no stale allow suppressions")
-            return 0
-        print(f"simlint: removed {edits} stale allow suppression(s)")
-        return 0
-
     try:
         findings = run(args.paths, rule_ids=args.rules)
     except KeyError as exc:
@@ -211,88 +117,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    if args.write_baseline:
-        baseline_mod.dump(findings, baseline_path)
-        print(f"simlint: wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-
-    if args.update_baseline:
-        if not baseline_path.exists():
-            print(
-                f"simlint: no baseline at {baseline_path} to update "
-                "(use --write-baseline to create one)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            baseline = baseline_mod.load(baseline_path)
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
-            print(f"simlint: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-        findings, stale = baseline_mod.apply(findings, baseline)
-        if args.check:
-            for path, rule, count in stale:
-                print(
-                    f"simlint: stale baseline entry {path} [{rule}] x{count} — "
-                    "run --update-baseline to prune it",
-                    file=sys.stderr,
-                )
-            if findings:
-                for finding in findings:
-                    print(finding.render())
-                print(
-                    f"simlint: {len(findings)} new finding(s) not grandfathered",
-                    file=sys.stderr,
-                )
-            clean = not stale and not findings
-            print(
-                "simlint: baseline is "
-                + ("tight (no stale entries)" if clean else "NOT clean")
-            )
-            return 0 if clean else 1
-        pruned = baseline_mod.prune(baseline, stale)
-        baseline_mod.save(pruned, baseline_path)
-        for path, rule, count in stale:
-            print(
-                f"simlint: pruned stale baseline entry {path} [{rule}] x{count}",
-                file=sys.stderr,
-            )
-        print(
-            f"simlint: baseline {baseline_path} updated "
-            f"({len(stale)} stale entr{'y' if len(stale) == 1 else 'ies'} pruned)"
-        )
-        if findings:
-            for finding in findings:
-                print(finding.render())
-            print(
-                f"simlint: {len(findings)} new finding(s) not grandfathered — "
-                "fix or suppress them",
-                file=sys.stderr,
-            )
-        return 1 if findings else 0
-
-    stale: list[tuple[str, str, int]] = []
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = baseline_mod.load(baseline_path)
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
-            print(f"simlint: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-        findings, stale = baseline_mod.apply(findings, baseline)
-
     if args.format == "json":
-        _emit_json(findings, stale)
+        _emit_json(findings)
     elif args.format == "github":
-        _emit_github(findings, stale)
+        _emit_github(findings)
     else:
         _emit_text(findings, args.quiet)
-        for path, rule, count in stale:
-            print(
-                f"simlint: stale baseline entry {path} [{rule}] x{count} — "
-                "the violations are gone; remove it",
-                file=sys.stderr,
-            )
     checked = ", ".join(str(p) for p in args.paths)
     # Keep machine-readable stdout clean: the summary goes to stderr
     # for the json/github formats.
@@ -301,4 +131,4 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if findings else 0
 
 
-__all__ = ["DEFAULT_BASELINE", "main"]
+__all__ = ["main"]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.lint.flow import FlowAnalysis
-from repro.lint.phases import PhaseAnalysis
 from repro.lint.units import UnitAnalysis
 
 
@@ -80,17 +79,6 @@ class ModuleContext:
         an empty index and degrade to intra-module analysis.
         """
         return FlowAnalysis(self.tree, module_name=self.module_name)
-
-    @cached_property
-    def phases(self) -> PhaseAnalysis:
-        """The module's phase-discipline analysis; built lazily, shared.
-
-        Directory runs install one whole-program :class:`PhaseIndex` as
-        ``ctx.phases.index`` before linting, so wave/settle reachability
-        crosses module boundaries; single-module entry points degrade
-        to a solo index over just this file (``ctx.phases.linked()``).
-        """
-        return PhaseAnalysis(self.tree, module_name=self.module_name)
 
     @cached_property
     def units(self) -> UnitAnalysis:

@@ -3,8 +3,7 @@
 The engine is import-light and purely syntactic: it parses each file
 once, hands the shared :class:`ModuleContext` to every applicable rule,
 and drops findings the source explicitly allows (``# simlint:
-allow[rule]``).  Baseline filtering is a separate, optional step
-(:mod:`repro.lint.baseline`) so programmatic callers see the raw truth.
+allow[rule]``).
 
 Directory runs are two-phase: every file is parsed first and the
 per-module flow analyses (:mod:`repro.lint.flow`) share one package
@@ -109,20 +108,15 @@ def lint_file(path: str | Path, *, rules: Iterable[Rule] | None = None) -> list[
 def link_contexts(contexts: list[ModuleContext]) -> None:
     """Install the shared cross-module indexes on every context.
 
-    One flow package index, one unit-summary index, and one whole-program
-    :class:`~repro.lint.phases.PhaseIndex` (built lazily on first phase
-    query) are shared by every module of a directory run, so call sites,
-    dimensions, and wave/settle reachability resolve across files.
+    One flow package index and one unit-summary index are shared by
+    every module of a directory run, so call sites and dimensions
+    resolve across files.
     """
-    from repro.lint.phases import PhaseIndex
-
     index = {ctx.module_name: ctx.flow.summaries for ctx in contexts}
     unit_index = {ctx.module_name: ctx.units.summaries for ctx in contexts}
-    phase_index = PhaseIndex([ctx.phases for ctx in contexts])
     for ctx in contexts:
         ctx.flow.package_index = index
         ctx.units.module_index = unit_index
-        ctx.phases.index = phase_index
 
 
 def run(

@@ -2,8 +2,7 @@
 
 A finding pins one invariant violation to a file and line.  Paths are
 reported the way the engine received them (normally relative to the
-invocation directory) so output lines are clickable and baseline keys
-are stable across checkouts.  ``end_line`` carries the flagged
+invocation directory) so output lines are clickable.  ``end_line`` carries the flagged
 statement's extent so suppressions on any physical line of a
 multi-line statement apply, and machine formats (``--format json`` /
 ``github``) can annotate the full span.

@@ -6,11 +6,9 @@ the same ``@register`` decorator before invoking the engine.
 """
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
-    backend_contract,
     concurrency,
     determinism,
     dimension,
-    phase_discipline,
     rng,
     stage_charging,
     units,

@@ -3,7 +3,7 @@
 PR 3 made the simulator concurrent: many tenants' events interleave on
 one virtual-time loop, and the determinism contract ("same config +
 seed => byte-identical result") now depends on every handler treating
-shared engine state with care.  Three rules guard the contract
+shared engine state with care.  Two rules guard the contract
 statically; the runtime side is :mod:`repro.sim.racecheck`.
 
 - ``shared-state-mutation`` — engine/ring/bucket state (``now_ns``,
@@ -15,10 +15,6 @@ statically; the runtime side is :mod:`repro.sim.racecheck`.
   (``*_ns``/``*_us``/``*_ms``): timestamps are accumulated floats, so
   exact equality is schedule-dependent; order with ``<=`` or compare
   with a tolerance.
-- ``event-tiebreak-dependence`` — the event ``seq`` counter exists
-  solely to order simultaneous events; reading it as *data* (keys,
-  arithmetic, branches) makes results depend on scheduling order,
-  which the tie-break perturbation harness deliberately shuffles.
 """
 
 from __future__ import annotations
@@ -58,9 +54,6 @@ MUTATION_EXEMPT_SUFFIXES = (
 
 #: Name suffixes that mark a value as a virtual-time quantity.
 TIME_SUFFIXES = ("_ns", "_us", "_ms")
-
-#: Comparison dunders where reading ``seq`` is the whole point.
-ORDERING_DUNDERS = frozenset({"__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"})
 
 
 def _describe(node: ast.expr) -> str:
@@ -186,62 +179,9 @@ class FloatTimeEquality(Rule):
         return findings
 
 
-@register
-class EventTiebreakDependence(Rule):
-    id = "event-tiebreak-dependence"
-    description = (
-        "the event `seq` counter only breaks timestamp ties; reading it "
-        "as data makes results depend on scheduling order"
-    )
-    packages = SIM_PACKAGES
-
-    def _allowed_reads(self, tree: ast.Module) -> set[int]:
-        """Node ids where a ``seq`` read is legitimately about ordering."""
-        allowed: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name in ORDERING_DUNDERS:
-                    for sub in ast.walk(node):
-                        allowed.add(id(sub))
-            elif isinstance(node, ast.Compare):
-                for operand in (node.left, *node.comparators):
-                    for sub in ast.walk(operand):
-                        allowed.add(id(sub))
-            elif isinstance(node, ast.Call):
-                for keyword in node.keywords:
-                    if keyword.arg == "key":
-                        for sub in ast.walk(keyword.value):
-                            allowed.add(id(sub))
-        return allowed
-
-    def check(self, ctx: ModuleContext) -> list[Finding]:
-        findings: list[Finding] = []
-        allowed = self._allowed_reads(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute) or node.attr != "seq":
-                continue
-            if not isinstance(node.ctx, ast.Load):
-                continue
-            if id(node) in allowed:
-                continue
-            findings.append(
-                self.finding(
-                    ctx,
-                    node,
-                    f"`{_describe(node)}` reads the event tie-break counter as "
-                    "data; `seq` is only meaningful for ordering simultaneous "
-                    "events — derive per-request identity from the request, "
-                    "not the schedule",
-                )
-            )
-        return findings
-
-
 __all__ = [
-    "EventTiebreakDependence",
     "FloatTimeEquality",
     "MUTATION_EXEMPT_SUFFIXES",
-    "ORDERING_DUNDERS",
     "SHARED_STATE_ATTRS",
     "SharedStateMutation",
     "TIME_SUFFIXES",

@@ -11,6 +11,11 @@ constructions (``list(set(...))``, ``dict.fromkeys(set(...))``,
 pattern used throughout (``for addr in sorted(slab.items)``) — is the
 sanctioned fix and is never flagged.  Dict iteration is fine: dicts
 are insertion-ordered.
+
+The same rule flags ``id()`` / ``hash()`` feeding an ordering (sort and
+heap keys, ``min``/``max``, ``<`` comparisons): both vary across
+processes and runs, so any order they induce is unreproducible.
+Identity-map lookups like ``table[id(obj)]`` stay legal.
 """
 
 from __future__ import annotations
@@ -23,6 +28,26 @@ from repro.lint.rules.base import SIM_PACKAGES, Rule, attr_chain, register
 
 #: Calls whose argument order becomes observable output order.
 ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter"})
+
+#: Calls whose argument order becomes an ordering of results.
+ORDERING_CALLS = frozenset(
+    {
+        "sorted",
+        "sort",
+        "min",
+        "max",
+        "heappush",
+        "heappushpop",
+        "heapify",
+        "heapreplace",
+        "nsmallest",
+        "nlargest",
+        "merge",
+    }
+)
+
+#: Builtins whose value differs across processes/runs for equal inputs.
+UNSTABLE_VALUE_CALLS = frozenset({"id", "hash"})
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -69,12 +94,37 @@ class _SetNames(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _unstable_calls(node: ast.AST) -> list[ast.Call]:
+    """``id()`` / ``hash()`` calls feeding the value of ``node``.
+
+    Subscript indices are skipped: ``table[id(obj)]`` is an identity-map
+    *lookup*; the looked-up value, not the id, reaches the ordering.
+    """
+    found: list[ast.Call] = []
+
+    def visit(expr: ast.AST) -> None:
+        if isinstance(expr, ast.Subscript):
+            visit(expr.value)
+            return
+        if (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Name)
+            and expr.func.id in UNSTABLE_VALUE_CALLS
+        ):
+            found.append(expr)
+        for child in ast.iter_child_nodes(expr):
+            visit(child)
+
+    visit(node)
+    return found
+
+
 @register
 class DeterministicIteration(Rule):
     id = "deterministic-iteration"
     description = (
-        "iterating a set/frozenset is order-nondeterministic; iterate "
-        "sorted(...) or keep an insertion-ordered dict/list"
+        "iterating a set/frozenset, or ordering by id()/hash(), is "
+        "nondeterministic; iterate sorted(...) or key on stable state"
     )
     packages = SIM_PACKAGES
 
@@ -102,6 +152,26 @@ class DeterministicIteration(Rule):
                 )
             )
 
+        # A nested ordering (``sorted(sorted(xs, key=...))``) reaches the
+        # same id()/hash() call twice; report it once.
+        unstable_reported: set[int] = set()
+
+        def report_unstable(value: ast.AST, where: str) -> None:
+            for call in _unstable_calls(value):
+                if id(call) in unstable_reported:
+                    continue
+                unstable_reported.add(id(call))
+                what = call.func.id  # type: ignore[union-attr]
+                findings.append(
+                    self.finding(
+                        ctx,
+                        call,
+                        f"{what}() feeds an ordering ({where}); its value "
+                        "varies across processes, so the induced order is "
+                        "unreproducible; key on stable simulation state",
+                    )
+                )
+
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.For) and names_set(node.iter):
                 report(node, "for loop")
@@ -117,6 +187,18 @@ class DeterministicIteration(Rule):
                 if order_sensitive and node.args and names_set(node.args[0]):
                     target = ast.unparse(node.func)
                     report(node, f"`{target}(...)` call")
+                leaf = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                for keyword in node.keywords:
+                    if keyword.arg == "key":
+                        report_unstable(keyword.value, "key=")
+                if leaf in ORDERING_CALLS:
+                    for arg in node.args:
+                        report_unstable(arg, f"{leaf}()")
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
+            ):
+                for operand in (node.left, *node.comparators):
+                    report_unstable(operand, "an ordering comparison")
         return findings
 
 

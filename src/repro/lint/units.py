@@ -6,8 +6,7 @@ checks what expressions actually *compute*.  Every local, attribute,
 call result and operator node is abstractly evaluated in a small
 dimension algebra, and the resulting judgements drive three rules
 (``dimension-mismatch``, ``rate-derivation``,
-``suffixless-cost-literal``) plus the dimension half of
-``backend-contract-conformance``.
+``suffixless-cost-literal``).
 
 The algebra
 -----------

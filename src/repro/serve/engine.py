@@ -314,16 +314,14 @@ def _fifo_ops_commute(op_a: str, op_b: str) -> bool:
       a simultaneous arrival — if an acquire could start, a preceding
       finish only leaves *more* idle servers, and if it had to queue,
       the finish pops the FIFO head regardless of order.
-    - ``arrive``/``arrive`` (keyed deferred acquires) commute: both
-      land in the pending buffer, and the settle phase admits the
+    - ``arrive``/``arrive`` (deferred acquires, always keyed) commute:
+      both land in the pending buffer, and the settle phase admits the
       whole buffer in stable-key order — set order, not event order.
     - ``start``/``start`` commute: both observed idle servers, so both
       orders start both jobs at the same timestamp.
-    - ``acquire`` (an *unkeyed* deferred acquire) with any other
-      acquire does *not* commute: without a stable key the settle
-      phase falls back to buffer order, which is the tie-break.
-      Likewise an immediate ``start``/``enqueue`` pair: one job got
-      the last idle server (or the earlier queue slot) by tie-break.
+    - An immediate ``start``/``enqueue`` pair does *not* commute: one
+      job got the last idle server (or the earlier queue slot) by
+      tie-break.
     """
     if op_a == "finish" or op_b == "finish":
         return True
@@ -344,12 +342,11 @@ class FifoResource:
 
     While the loop is running, ``acquire`` does not admit immediately:
     arrivals are buffered and the settle phase admits the buffer in
-    stable order — ``(key, arrival)`` when the caller supplies a
-    ``key``, plain arrival order otherwise.  Same-timestamp contenders
-    therefore resolve by key, not by which event the tie-break ran
-    first; without perturbation, arrival order equals schedule order,
-    so unkeyed behaviour is unchanged.  Outside ``run`` (seeding the
-    loop before it starts) acquire admits synchronously as before.
+    ``(key, arrival)`` order.  Same-timestamp contenders therefore
+    resolve by key, not by which event the tie-break ran first, so a
+    wave acquire without a ``key`` is a ``ValueError``.  Outside
+    ``run`` (seeding the loop before it starts) acquire admits
+    synchronously in call order and ``key`` is optional.
 
     When the loop carries a race checker the resource registers itself:
     each acquire/finish is reported as a write whose operation name
@@ -363,7 +360,6 @@ class FifoResource:
         "_idle",
         "_queue",
         "_pending",
-        "_arrivals",
         "busy_ns",
         "served",
         "_race",
@@ -378,9 +374,8 @@ class FifoResource:
         self.name = name
         self._idle = servers
         self._queue: deque[tuple[float, Callable[[float], None]]] = deque()
-        #: Wave arrivals awaiting settle: (sort key, service, done).
-        self._pending: list[tuple[tuple[float, int], float, Callable[[float], None]]] = []
-        self._arrivals = itertools.count()
+        #: Wave arrivals awaiting settle, in arrival order: (key, service, done).
+        self._pending: list[tuple[int, float, Callable[[float], None]]] = []
         self.busy_ns = 0.0
         self.served = 0
         self._race = loop.racecheck
@@ -410,17 +405,23 @@ class FifoResource:
         ``key`` is the job's stable admission priority among
         same-timestamp arrivals (e.g. its dispatch sequence number):
         contenders are admitted in key order at settle time, so the
-        outcome does not depend on event tie-breaks.
+        outcome does not depend on event tie-breaks.  It is required
+        while the loop is running.
         """
         # One chained compare rejects negatives, +inf and NaN alike.
         if not 0.0 <= service_ns < math.inf:
             raise ValueError(f"invalid service time {service_ns!r}")
         if self.loop.running:
+            if key is None:
+                label = self.name or f"fifo:{self.servers}"
+                raise ValueError(
+                    f"unkeyed acquire on FIFO {label!r} while the loop is running: "
+                    "same-timestamp arrivals would be admitted in tie-break order; "
+                    "pass a stable key"
+                )
             if self._race is not None:
-                self._race.access(self, WRITE, "arrive" if key is not None else "acquire")
-            order = next(self._arrivals)
-            sort_key = (float(key) if key is not None else math.inf, order)
-            self._pending.append((sort_key, service_ns, done))
+                self._race.access(self, WRITE, "arrive")
+            self._pending.append((key, service_ns, done))
             self._wake()
             return
         if self._race is not None:
@@ -440,8 +441,9 @@ class FifoResource:
             return False
         self._pending = []
         if len(batch) > 1:
+            # Stable sort: equal keys keep arrival order.
             batch.sort(key=lambda entry: entry[0])
-        for _sort_key, service_ns, done in batch:
+        for _key, service_ns, done in batch:
             if self._race is not None:
                 self._race.access(self, WRITE, "start" if self._idle else "enqueue")
             self._admit(service_ns, done)

@@ -11,8 +11,9 @@ of the tie-break — a **virtual-time race** that a different (equally
 valid) tie-break would change.
 
 This module is the dynamic half of the concurrency checks (the static
-half is ``repro.lint``'s ``shared-state-mutation`` /
-``event-tiebreak-dependence`` rules):
+half is ``repro.lint``'s ``shared-state-mutation`` rule; the event
+``seq`` tie-break counter is not even readable, since
+:class:`repro.serve.engine.ScheduledEvent` has no such slot):
 
 - every executed event carries a :class:`VectorClock` tracking its
   happens-before ancestry (event A precedes event B iff A transitively

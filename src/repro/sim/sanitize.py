@@ -8,15 +8,18 @@ the :class:`ResourceModel` busy totals equal the charges the tracer
 folded since it was attached, so nothing charged the ledger behind the
 traces' back (a NaN on either side counts as a mismatch).
 
-Two invariants hold whether or not the sanitizer is on, so it does not
-re-check them:
+Three invariants hold whether or not the sanitizer is on, so it does
+not re-check them:
 
 - **well-formed stages** — :class:`~repro.sim.trace.Stage` is frozen
   and rejects a non-finite or negative duration, or a charged derived
   ``"nand"`` stage, when it is built (ambient and detached stages
   included);
 - **balanced spans** — ``Tracer.end()`` without a matching ``begin``
-  raises instead of corrupting the span stack.
+  raises instead of corrupting the span stack;
+- **keyed FIFO admission** — :meth:`repro.serve.engine.FifoResource.acquire`
+  raises ``ValueError`` on an acquire without a ``key`` while the loop
+  runs, so same-timestamp contenders never queue in tie-break order.
 
 The event loop (:class:`repro.serve.engine.EventLoop`) adds a lost-
 wakeup check: at every quiescent timestamp, no settler that is not

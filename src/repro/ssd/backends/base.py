@@ -22,18 +22,67 @@ A :class:`DeviceBackend` bundles one of each under a registry name;
 reproduces the pre-abstraction model byte for byte (the golden-digest
 regression test pins this); ``cxl_lmb`` and ``nvme_fdp`` are the two
 fabrics PAPERS.md identifies as moving the paper's trade-offs most.
+
+Both surfaces check their subclasses when the class is created (a
+``TypeError`` at import, not a wrong number mid-run): an overridden
+contract method keeps the base's positional parameter names — which
+pins the *dimension* each argument carries, ``nbytes`` stays bytes —
+and no class attribute is a ``list``/``dict``/``set``, which every
+instance, and so every simulated system, would share.  A missing
+``bulk_transfer_ns``/``byte_read_ns`` is a ``TypeError`` at
+instantiation, because :class:`Interconnect` is an ``abc.ABC``.
 """
 
 from __future__ import annotations
 
 import abc
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 from repro.config import TimingModel
 
 
-class Interconnect(abc.ABC):
+def _positional_params(method: Callable[..., object]) -> tuple[str, ...]:
+    """Positional parameter names after the receiver."""
+    params = inspect.signature(method).parameters.values()
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return tuple(param.name for param in params if param.kind in positional)[1:]
+
+
+class _BackendContract:
+    """Class-creation check of a backend surface's subclasses.
+
+    The *contract* is the class that lists this mixin as a direct base
+    (:class:`Interconnect` or :class:`BufferPlacement`); its public
+    methods are the surface every subclass must keep.
+    """
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        contract = next(base for base in cls.__mro__ if _BackendContract in base.__bases__)
+        for attr, value in vars(cls).items():
+            if attr.startswith("__") and attr.endswith("__"):
+                continue
+            if isinstance(value, (list, dict, set)):
+                raise TypeError(
+                    f"{cls.__name__}.{attr} is a mutable class attribute shared by "
+                    "every instance of the backend; create it per instance in __init__"
+                )
+            expected = vars(contract).get(attr)
+            if attr.startswith("_") or not (
+                inspect.isfunction(expected) and inspect.isfunction(value)
+            ):
+                continue
+            if _positional_params(value) != _positional_params(expected):
+                raise TypeError(
+                    f"{cls.__name__}.{attr}{inspect.signature(value)} must keep the "
+                    f"positional parameters of {contract.__name__}.{attr}"
+                    f"{inspect.signature(expected)}; the names carry each argument's unit"
+                )
+
+
+class Interconnect(_BackendContract, abc.ABC):
     """Cost model of the host <-> device transport."""
 
     #: Registry-facing name of the fabric.
@@ -68,7 +117,7 @@ class Interconnect(abc.ABC):
         return 0.0
 
 
-class BufferPlacement:
+class BufferPlacement(_BackendContract):
     """Placement-handle policy plus per-handle accounting.
 
     The default implementation is the conventional single-stream

@@ -1,5 +1,7 @@
 """Fixture: deterministic-iteration counterexamples (never executed)."""
 
+import heapq
+
 
 def walk(pages):
     touched = set(pages)
@@ -12,3 +14,12 @@ def walk(pages):
     yield from dict.fromkeys(touched)  # expect: deterministic-iteration
     yield from sorted(touched)  # ok: sorted() pins the order
     yield ordered
+    yield next(iter(touched))  # expect: deterministic-iteration
+
+
+def flush(waiters, table, heap):
+    by_identity = sorted(waiters, key=lambda w: id(w))  # expect: deterministic-iteration
+    first = min(waiters, key=lambda w: table[id(w)])  # ok: identity-map lookup
+    heapq.heappush(heap, (hash(first), first))  # expect: deterministic-iteration
+    table[id(first)] = first  # ok: an identity token, not an order
+    return by_identity, id(first) < 0  # expect: deterministic-iteration

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, suppressions, and the baseline workflow."""
+"""CLI behaviour: exit codes, suppressions, and output formats."""
 
 from __future__ import annotations
 
@@ -58,37 +58,6 @@ def test_unknown_rule_is_usage_error(tmp_path: Path) -> None:
     assert excinfo.value.code == 2
 
 
-def test_baseline_roundtrip(tmp_path: Path, monkeypatch) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    # Grandfather the existing finding, then the same tree is clean...
-    assert main(["mod.py", "--write-baseline"]) == 0
-    assert (tmp_path / "simlint-baseline.json").exists()
-    assert main(["mod.py"]) == 0
-    # ...but a *new* violation still fails.
-    target.write_text(VIOLATION + "\n\ndef g():\n    return time.time()\n")
-    assert main(["mod.py"]) == 1
-
-
-def test_stale_baseline_reported(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    assert main(["mod.py", "--write-baseline"]) == 0
-    target.write_text("def f():\n    return 0\n")  # violation fixed
-    assert main(["mod.py"]) == 0
-    assert "stale baseline entry" in capsys.readouterr().err
-
-
-def test_no_baseline_flag_ignores_file(tmp_path: Path, monkeypatch) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    assert main(["mod.py", "--write-baseline"]) == 0
-    assert main(["mod.py", "--no-baseline"]) == 1
-
-
 def test_format_json(tmp_path: Path, capsys) -> None:
     import json
 
@@ -103,7 +72,6 @@ def test_format_json(tmp_path: Path, capsys) -> None:
     assert finding["rule"] == "virtual-time-purity"
     assert finding["line"] == 5
     assert finding["path"].endswith("mod.py")
-    assert payload["stale_baseline"] == []
     # The human summary stays off the machine-readable stream.
     assert "finding(s)" in captured.err
 
@@ -129,62 +97,6 @@ def test_format_github_annotations(tmp_path: Path, capsys) -> None:
     assert "title=simlint[virtual-time-purity]" in out
 
 
-def test_format_github_stale_baseline_warning(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    assert main(["mod.py", "--write-baseline"]) == 0
-    capsys.readouterr()
-    target.write_text("def f():\n    return 0\n")  # violation fixed
-    assert main(["mod.py", "--format", "github"]) == 0
-    out = capsys.readouterr().out
-    assert "::warning file=mod.py,title=simlint[baseline]" in out
-    assert "stale baseline" in out
-
-
-def test_update_baseline_prunes_stale_entries(tmp_path: Path, monkeypatch, capsys) -> None:
-    import json
-
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    other = tmp_path / "other.py"
-    target.write_text(VIOLATION)
-    other.write_text(VIOLATION)
-    assert main(["mod.py", "other.py", "--write-baseline"]) == 0
-    # Fix one file: its baseline entry is now stale.
-    other.write_text("def f():\n    return 0\n")
-    capsys.readouterr()
-    assert main(["mod.py", "other.py", "--update-baseline"]) == 0
-    captured = capsys.readouterr()
-    assert "pruned stale baseline entry other.py [virtual-time-purity] x1" in captured.err
-    assert "1 stale entry pruned" in captured.out
-    payload = json.loads((tmp_path / "simlint-baseline.json").read_text())
-    assert "other.py" not in payload["findings"]
-    assert payload["findings"]["mod.py"] == {"virtual-time-purity": 1}
-    # The pruned baseline still grandfathers the remaining violation.
-    assert main(["mod.py", "other.py"]) == 0
-
-
-def test_update_baseline_reports_new_findings(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    assert main(["mod.py", "--write-baseline"]) == 0
-    target.write_text(VIOLATION + "\n\ndef g():\n    return time.time()\n")
-    capsys.readouterr()
-    assert main(["mod.py", "--update-baseline"]) == 1
-    captured = capsys.readouterr()
-    assert "not grandfathered" in captured.err
-
-
-def test_update_baseline_without_file_is_usage_error(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    assert main(["mod.py", "--update-baseline"]) == 2
-    assert "no baseline" in capsys.readouterr().err
-
-
 # --- exit code 2: crash/config errors vs. findings --------------------
 
 
@@ -202,141 +114,6 @@ def test_engine_crash_exits_two(tmp_path: Path, monkeypatch, capsys) -> None:
     assert "rule exploded" in err
 
 
-def test_corrupt_baseline_exits_two(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "mod.py").write_text(VIOLATION)
-    (tmp_path / "simlint-baseline.json").write_text("{not json")
-    assert main(["mod.py"]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_corrupt_baseline_update_exits_two(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "mod.py").write_text(VIOLATION)
-    (tmp_path / "simlint-baseline.json").write_text('{"version": 99}')
-    assert main(["mod.py", "--update-baseline"]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-# --- suppression fixing -----------------------------------------------
-
-STALE = (
-    "import time\n\n\ndef f():\n"
-    "    return 1  # simlint: allow[virtual-time-purity]\n"
-)
-MIXED = (
-    "import time\n\n\ndef f():\n"
-    "    return time.time()  # simlint: allow[virtual-time-purity,seeded-rng-only]\n"
-)
-
-
-def test_fix_suppressions_removes_stale_comment(tmp_path: Path, capsys) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text(STALE)
-    assert main([str(target), "--fix-suppressions"]) == 0
-    assert "removed 1 stale allow suppression(s)" in capsys.readouterr().out
-    assert "simlint: allow" not in target.read_text()
-    # The tree is clean afterwards: no unused-suppression findings left.
-    assert main([str(target), "--no-baseline"]) == 0
-
-
-def test_fix_suppressions_keeps_live_rules(tmp_path: Path) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text(MIXED)
-    assert main([str(target), "--fix-suppressions"]) == 0
-    text = target.read_text()
-    # The wall-clock call is real, so its suppression survives; the
-    # stale seeded-rng-only id is edited out of the bracket.
-    assert "# simlint: allow[virtual-time-purity]" in text
-    assert "seeded-rng-only" not in text
-
-
-def test_fix_suppressions_dry_run_prints_diff(tmp_path: Path, capsys) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text(STALE)
-    assert main([str(target), "--fix-suppressions", "--dry-run"]) == 1
-    captured = capsys.readouterr()
-    assert "-    return 1  # simlint: allow[virtual-time-purity]" in captured.out
-    assert "+    return 1" in captured.out
-    assert "would remove 1 stale allow suppression(s)" in captured.err
-    # Dry run never writes.
-    assert target.read_text() == STALE
-
-
-def test_fix_suppressions_clean_tree_exits_zero(tmp_path: Path, capsys) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text(SUPPRESSED)
-    assert main([str(target), "--fix-suppressions", "--dry-run"]) == 0
-    assert "no stale allow suppressions" in capsys.readouterr().out
-    assert main([str(target), "--fix-suppressions"]) == 0
-    assert target.read_text() == SUPPRESSED
-
-
-def test_dry_run_requires_fix_suppressions(tmp_path: Path) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(target), "--dry-run"])
-    assert excinfo.value.code == 2
-
-
-def test_fix_suppressions_rejects_rule_filter(tmp_path: Path) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text(STALE)
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(target), "--fix-suppressions", "--rule", "virtual-time-purity"])
-    assert excinfo.value.code == 2
-
-
-# --- baseline staleness gate (--update-baseline --check) --------------
-
-
-def test_check_mode_passes_on_tight_baseline(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "mod.py").write_text(VIOLATION)
-    assert main(["mod.py", "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert main(["mod.py", "--update-baseline", "--check"]) == 0
-    assert "baseline is tight" in capsys.readouterr().out
-
-
-def test_check_mode_fails_on_stale_entry_without_writing(
-    tmp_path: Path, monkeypatch, capsys
-) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    assert main(["mod.py", "--write-baseline"]) == 0
-    before = (tmp_path / "simlint-baseline.json").read_text()
-    target.write_text("def f():\n    return 0\n")  # violation fixed
-    capsys.readouterr()
-    assert main(["mod.py", "--update-baseline", "--check"]) == 1
-    captured = capsys.readouterr()
-    assert "stale baseline entry" in captured.err
-    assert "NOT clean" in captured.out
-    # Check mode never rewrites the baseline file.
-    assert (tmp_path / "simlint-baseline.json").read_text() == before
-
-
-def test_check_mode_fails_on_new_findings(tmp_path: Path, monkeypatch, capsys) -> None:
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    assert main(["mod.py", "--write-baseline"]) == 0
-    target.write_text(VIOLATION + "\n\ndef g():\n    return time.time()\n")
-    capsys.readouterr()
-    assert main(["mod.py", "--update-baseline", "--check"]) == 1
-    assert "not grandfathered" in capsys.readouterr().err
-
-
-def test_check_requires_update_baseline(tmp_path: Path) -> None:
-    target = tmp_path / "mod.py"
-    target.write_text(VIOLATION)
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(target), "--check"])
-    assert excinfo.value.code == 2
-
-
 # --- github format escaping -------------------------------------------
 
 
@@ -350,7 +127,7 @@ def test_github_escaping_of_messages_and_properties(capsys) -> None:
         rule="demo-rule",
         message="first :: line\nsecond % line",
     )
-    _emit_github([finding], [])
+    _emit_github([finding])
     out = capsys.readouterr().out
     # One physical line: the newline is %0A, % is %25, and the comma in
     # the path cannot terminate the file= property early.

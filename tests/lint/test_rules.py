@@ -28,24 +28,18 @@ FIXTURE_RULES = {
     "dimension_mismatch.py": "dimension-mismatch",
     "rate_derivation.py": "rate-derivation",
     "cost_literal.py": "suffixless-cost-literal",
-    "backend_incomplete.py": "backend-contract-conformance",
     "set_iteration.py": "deterministic-iteration",
     "shared_mutation.py": "shared-state-mutation",
     "float_time_eq.py": "float-time-equality",
-    "seq_dependence.py": "event-tiebreak-dependence",
     "clean.py": None,
 }
 
 
-#: fixture *package* -> rules whose counterexamples need cross-module
-#: linking and so live in a directory fixture instead of a single file.
+#: fixture *package* -> rules whose cross-module counterexamples it
+#: marks (call sites that resolve only through the package index).
 PACKAGE_FIXTURE_RULES = {
-    "phasepkg": {
-        "wave-phase-shared-mutation",
-        "commutativity-decl-mismatch",
-        "racecheck-instrumentation-gap",
-        "unstable-order-key",
-    },
+    "flowpkg": {"stage-charging", "seeded-rng-only"},
+    "unitspkg": {"dimension-mismatch", "rate-derivation", "suffixless-cost-literal"},
 }
 
 
@@ -192,3 +186,4 @@ def test_cross_module_sinks_resolve_through_the_package_index() -> None:
     # The helpers themselves are clean: sinks flag the caller that owns
     # the object, not the helper.
     assert not [f for f in findings if f.path.endswith("helpers.py")]
+

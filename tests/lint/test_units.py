@@ -1,9 +1,8 @@
-"""simlint v3: the dimensional analysis and its four rules.
+"""simlint v3: the dimensional analysis and its three rules.
 
 The top-level fixtures pin the single-module behaviour (see
 ``test_rules.py``); these tests cover the cross-module half — dims
-flowing through the engine's shared module index — plus the algebra
-and the backend-contract corners.
+flowing through the engine's shared module index — plus the algebra.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ def test_unitspkg_cross_module_findings_match_markers() -> None:
     by_file: dict[str, list[tuple[int, str]]] = {}
     for finding in findings:
         by_file.setdefault(Path(finding.path).name, []).append((finding.line, finding.rule))
-    for name in ("user.py", "device.py"):
-        assert sorted(by_file.get(name, [])) == expected_findings(package / name), name
+    assert sorted(by_file.get("user.py", [])) == expected_findings(package / "user.py")
     # The helpers are dimensionally consistent.
     assert "helpers.py" not in by_file
 
@@ -96,61 +94,3 @@ def test_unitspkg_degrades_without_the_index() -> None:
         (10, "rate-derivation"),
         (12, "suffixless-cost-literal"),
     ]
-
-
-# --- backend-contract-conformance corners -----------------------------
-
-
-def test_register_functions_may_mutate_registries() -> None:
-    source = (
-        "BACKENDS = {}\n"
-        "def register_backend(name):\n"
-        "    def wrap(factory):\n"
-        "        BACKENDS[name] = factory\n"
-        "        return factory\n"
-        "    return wrap\n"
-        "class Link(Interconnect):\n"
-        "    def bulk_transfer_ns(self, nbytes):\n"
-        "        ...\n"
-        "    def byte_read_ns(self, nbytes):\n"
-        "        ...\n"
-    )
-    assert not lint_source(source, "src/repro/ssd/backends/custom.py")
-
-
-def test_local_shadow_is_not_shared_state() -> None:
-    source = (
-        "CACHE = {}\n"
-        "class Link(Interconnect):\n"
-        "    def bulk_transfer_ns(self, nbytes):\n"
-        "        CACHE = {}\n"
-        "        CACHE[nbytes] = 1\n"
-        "        return CACHE[nbytes]\n"
-        "    def byte_read_ns(self, nbytes):\n"
-        "        ...\n"
-    )
-    assert not lint_source(source, "src/repro/ssd/backends/custom.py")
-
-
-def test_abstract_intermediate_class_is_not_required_complete() -> None:
-    source = (
-        "import abc\n"
-        "class Base(Interconnect):\n"
-        "    @abc.abstractmethod\n"
-        "    def bulk_transfer_ns(self, nbytes):\n"
-        "        ...\n"
-    )
-    assert not lint_source(source, "x.py", rules=[RULES["backend-contract-conformance"]])
-
-
-def test_backend_dir_module_state_checked_without_classes() -> None:
-    # Inside a backends/ directory the sharing check applies even when
-    # the module defines no backend class (helper modules).
-    source = "STATS = {}\ndef bump(key):\n    STATS[key] = STATS.get(key, 0) + 1\n"
-    findings = lint_source(source, "src/repro/ssd/backends/helpers.py")
-    assert [f.rule for f in findings] == ["backend-contract-conformance"]
-    # The same module outside a backend context is not this rule's job
-    # (shared-state-mutation covers the simulator's own state).
-    assert not lint_source(
-        source, "src/repro/analysis/tally.py", rules=[RULES["backend-contract-conformance"]]
-    )

@@ -67,15 +67,20 @@ def test_two_same_timestamp_events_racing_on_one_bucket():
 
 
 def test_unkeyed_fifo_contention_is_flagged():
-    """Same-time acquires without a stable key depend on the tie-break."""
-    checker = RaceChecker()
-    loop = EventLoop(racecheck=checker)
+    """A wave acquire without a stable key is rejected outright.
+
+    Same-time unkeyed acquires would be admitted in tie-break order, so
+    the first one raises before any contender exists; no race checker
+    is needed to see it.
+    """
+    loop = EventLoop()
     stage = FifoResource(loop, 1, name="pcie")
-    loop.schedule(50.0, lambda: stage.acquire(10.0, lambda end: None))
-    loop.schedule(50.0, lambda: stage.acquire(10.0, lambda end: None))
-    with pytest.raises(RaceError) as excinfo:
+    acquired: list[float] = []
+    loop.schedule(50.0, lambda: stage.acquire(10.0, acquired.append))
+    loop.schedule(50.0, lambda: stage.acquire(10.0, acquired.append))
+    with pytest.raises(ValueError, match="unkeyed acquire on FIFO 'pcie'"):
         loop.run()
-    assert "virtual-time race on 'pcie'" in str(excinfo.value)
+    assert loop.now_ns == 50.0 and acquired == [] and stage.served == 0
 
 
 def test_keyed_fifo_contention_is_clean_and_order_independent():

@@ -10,6 +10,7 @@ from repro.config import PCIE_LANE_BW_BYTES_PER_NS, PcieLinkSpec, SimConfig, Tim
 from repro.experiments import backend_matrix
 from repro.ssd.backends import (
     BufferPlacement,
+    Interconnect,
     UnifiedPlacement,
     available_backends,
     build_backend,
@@ -255,3 +256,114 @@ def test_simlint_covers_the_backends_package():
     )
     assert ctx.repro_subpackage == "ssd"
     assert ctx.repro_subpackage in SIM_PACKAGES
+
+
+# --- contract conformance at class creation -----------------------------
+
+
+def test_interconnect_missing_byte_read_fails_at_instantiation():
+    class HalfLink(Interconnect):
+        """Implements bulk transfers but forgot the byte-read path."""
+
+        name = "half"
+
+        def bulk_transfer_ns(self, nbytes):
+            return 0.0
+
+    with pytest.raises(TypeError, match="byte_read_ns"):
+        HalfLink()
+
+
+def test_abstract_intermediate_interconnect_is_not_required_complete():
+    import abc
+
+    class Base(Interconnect):
+        @abc.abstractmethod
+        def bulk_transfer_ns(self, nbytes):
+            ...
+
+    with pytest.raises(TypeError, match="abstract"):
+        Base()
+
+    class Done(Base):
+        def bulk_transfer_ns(self, nbytes):
+            return 1.0
+
+        def byte_read_ns(self, nbytes):
+            return 2.0
+
+    assert Done().byte_read_ns(8) == 2.0
+
+
+@pytest.mark.parametrize(
+    "container", [[], {}, set()], ids=["list", "dict", "set"]
+)
+def test_mutable_class_attribute_fails_at_class_creation(container):
+    with pytest.raises(TypeError, match="ShapedLink.recent is a mutable class attribute"):
+
+        class ShapedLink(Interconnect):
+            name = "shaped"
+            recent = container
+
+    with pytest.raises(TypeError, match="Hoarder._seen is a mutable class attribute"):
+
+        class Hoarder(BufferPlacement):
+            _seen = container
+
+
+def test_renamed_byte_read_parameter_fails_at_class_creation():
+    with pytest.raises(TypeError, match=r"ShapedLink.byte_read_ns\(self, count\)"):
+
+        class ShapedLink(Interconnect):
+            def bulk_transfer_ns(self, nbytes):
+                return 0.0
+
+            def byte_read_ns(self, count):
+                return 0.0
+
+
+def test_extra_positional_on_optional_hook_fails_at_class_creation():
+    with pytest.raises(TypeError, match=r"byte_fault_ns\(self, nbytes\)"):
+
+        class FaultyLink(Interconnect):
+            def byte_fault_ns(self, nbytes):
+                return 0.0
+
+
+def test_swapped_placement_parameters_fail_at_class_creation():
+    with pytest.raises(TypeError, match="SwappedPlacement.record_read"):
+
+        class SwappedPlacement(BufferPlacement):
+            def record_read(self, nbytes, handle):
+                ...
+
+
+def test_conforming_backends_with_varied_keyword_only_params_pass():
+    """Control: keyword-only parameters are free to vary, and a class
+    attribute that is a tuple or a scalar is not shared mutable state."""
+
+    class KeywordLink(Interconnect):
+        name = "keyword"
+        lanes = (1, 2)
+
+        def bulk_transfer_ns(self, nbytes, *, burst=False):
+            return float(nbytes)
+
+        def byte_read_ns(self, nbytes, *, retries=0, cold=True):
+            return float(nbytes) * (retries + 1)
+
+    class KeywordPlacement(BufferPlacement):
+        handles = 2
+
+        def record_read(self, handle, nbytes, *, pages=(), reason=""):
+            self.last = (handle, nbytes, pages, reason)
+
+        def record_write(self, handle, nbytes, *, ppn=None, urgent=False):
+            ...
+
+    assert KeywordLink().byte_read_ns(4, retries=1) == 8.0
+    placement = KeywordPlacement()
+    placement.record_read(1, 64, reason="hit")
+    assert placement.last == (1, 64, (), "hit")
+    # The shipped backends pass the same check (importing them ran it).
+    assert {"pcie_gen3", "cxl_lmb", "nvme_fdp"} <= set(available_backends())
