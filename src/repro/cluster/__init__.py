@@ -4,7 +4,7 @@ The serving layer (:mod:`repro.serve`) proves one :class:`StorageServer`
 can run deterministic multi-tenant traffic; this package scales that to
 a simulated *cluster*: a front-end :class:`~repro.cluster.router.Router`
 consistent-hash-shards the fine-grained cache keyspace across N
-:class:`~repro.cluster.node.ClusterNode` storage servers sharing one
+:class:`~repro.serve.server.StorageNode` storage servers sharing one
 wave+settle :class:`~repro.serve.engine.EventLoop`, with replica-read
 policies (primary-only, least-outstanding, hedged-after-delay with
 cancel-on-first-win) and a deterministic

@@ -9,29 +9,35 @@ faults included; :func:`repro.sim.racecheck.perturbed` proves it by
 re-running under seeded tie-break shuffles, exactly as it does for one
 server.
 
+The cluster is a :class:`~repro.cluster.router.Router` plus one
+:class:`~repro.serve.server.StorageNode` per server — the node class a
+single :class:`~repro.serve.server.StorageServer` runs — so a
+one-node, replication-1, ``primary`` cluster serves any tenant set
+exactly as the server does, closed loops included.
+
 Of the tenant QoS knobs, the cluster honours ``weight`` (per-node WRR
 arbitration share) and ``queue_depth`` (per-node ring size, block on
-full); token-bucket rate limiting and shed-on-full are single-server
-admission features that stay in :mod:`repro.serve`.
+full).  Token-bucket rate limiting and shed-on-full are single-server
+admission features: a tenant that sets them is rejected with
+``ValueError`` rather than silently run without them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cluster.faults import FaultInjector, FaultSpec
-from repro.cluster.metrics import ClusterResult
-from repro.cluster.node import ClusterNode
+from repro.cluster.metrics import ClusterResult, ClusterTenantMetrics
 from repro.cluster.policies import POLICIES, build_policy
 from repro.cluster.ring import HashRing
 from repro.cluster.router import Router
 from repro.config import SimConfig
 from repro.serve.engine import EventLoop
-from repro.serve.nvme_mq import ARBITERS
-from repro.serve.server import TenantSpec
+from repro.serve.qos import SHED
+from repro.serve.server import StorageNode, TenantSpec, validate_tenants
 from repro.sim import racecheck as racecheck_mod
 from repro.sim.racecheck import RaceChecker
-from repro.sim.stats import LatencyHistogram
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,18 @@ class ClusterConfig:
     faults: tuple[FaultSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.tenants:
-            raise ValueError("need at least one tenant")
-        names = [spec.name for spec in self.tenants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tenant names in {names}")
+        validate_tenants(
+            self.tenants,
+            self.arbitration,
+            self.max_inflight_per_server,
+            "max_inflight_per_server",
+        )
+        for spec in self.tenants:
+            if spec.qos.rate_limit_qps is not None or spec.qos.full_policy == SHED:
+                raise ValueError(
+                    f"tenant {spec.name!r}: rate limiting and shed-on-full are "
+                    "single-server admission features; the cluster does not run them"
+                )
         if self.servers <= 0:
             raise ValueError("servers must be positive")
         if self.replication <= 0:
@@ -84,12 +97,6 @@ class ClusterConfig:
             raise ValueError(
                 f"unknown replica policy {self.policy!r}; choose from {sorted(POLICIES)}"
             )
-        if self.arbitration not in ARBITERS:
-            raise ValueError(
-                f"unknown arbitration {self.arbitration!r}; choose from {sorted(ARBITERS)}"
-            )
-        if self.max_inflight_per_server <= 0:
-            raise ValueError("max_inflight_per_server must be positive")
         server_names = set(self.server_names)
         for server, _backend in self.backend_overrides:
             if server not in server_names:
@@ -104,7 +111,7 @@ class ClusterConfig:
 
 
 class Cluster:
-    """N shard servers + router + fault injector on one event loop."""
+    """Router + N storage nodes + fault injector on one event loop."""
 
     def __init__(
         self,
@@ -125,33 +132,34 @@ class Cluster:
             replication=config.replication,
             seed=config.ring_seed,
         )
-        base_sim = sim_config or SimConfig()
-        overrides = dict(config.backend_overrides)
-        self.nodes: dict[str, ClusterNode] = {}
-        for name in config.server_names:
-            backend = overrides.get(name, config.backend)
-            node_sim = base_sim.scaled(backend=backend) if backend else base_sim
-            self.nodes[name] = ClusterNode(
-                self.loop,
-                name,
-                system=config.system,
-                sim_config=node_sim,
-                tenants=config.tenants,
-                arbitration=config.arbitration,
-                max_inflight=config.max_inflight_per_server,
-                fine_grained=config.fine_grained,
-                racecheck=racecheck,
-            )
         self.policy = build_policy(config.policy, config.hedge_delay_ns)
+        # The router first: its settler must precede every node's pump.
         self.router = Router(
             self.loop,
             self.ring,
-            self.nodes,
             self.policy,
             config.tenants,
             seed=config.seed,
             racecheck=racecheck,
         )
+        base_sim = sim_config or SimConfig()
+        overrides = dict(config.backend_overrides)
+        self.nodes = self.router.nodes
+        for name in config.server_names:
+            backend = overrides.get(name, config.backend)
+            self.nodes[name] = StorageNode(
+                self.loop,
+                config.tenants,
+                system=config.system,
+                sim_config=base_sim.scaled(backend=backend) if backend else base_sim,
+                arbitration=config.arbitration,
+                max_inflight=config.max_inflight_per_server,
+                fine_grained=config.fine_grained,
+                racecheck=racecheck,
+                on_dispatch=self.router.on_attempt_dispatched,
+                on_complete=self.router.on_attempt_done,
+                prefix=f"{name}:",
+            )
         self.injector = FaultInjector(config.faults)
         self.injector.arm(self.loop, self.nodes)
 
@@ -160,46 +168,16 @@ class Cluster:
         """Start every client, drain the loop, snapshot the metrics."""
         self.router.start_clients()
         elapsed_ns = self.loop.run(self.config.max_time_ns)
-        tenant_states = self.router.tenant_states()
-        merged = LatencyHistogram()
-        merged_reads = LatencyHistogram()
-        totals = {"submitted": 0, "completed": 0, "reads": 0, "writes": 0}
-        hedges = {"issued": 0, "won": 0, "cancelled": 0, "wasted": 0}
-        for state in tenant_states:
-            metrics = state.metrics
-            merged.merge(metrics.latency)
-            merged_reads.merge(metrics.read_latency)
-            totals["submitted"] += metrics.submitted
-            totals["completed"] += metrics.completed
-            totals["reads"] += metrics.reads
-            totals["writes"] += metrics.writes
-            hedges["issued"] += metrics.hedges_issued
-            hedges["won"] += metrics.hedges_won
-            hedges["cancelled"] += metrics.hedges_cancelled
-            hedges["wasted"] += metrics.hedges_wasted
-        elapsed_s = elapsed_ns / 1e9 if elapsed_ns > 0 else 0.0
-        overall = {
-            "submitted": float(totals["submitted"]),
-            "completed": float(totals["completed"]),
-            "reads": float(totals["reads"]),
-            "writes": float(totals["writes"]),
-            "hedges_issued": float(hedges["issued"]),
-            "hedges_won": float(hedges["won"]),
-            "hedges_cancelled": float(hedges["cancelled"]),
-            "hedges_wasted": float(hedges["wasted"]),
-            "achieved_qps": totals["completed"] / elapsed_s if elapsed_s else 0.0,
-            "mean_latency_ns": merged.mean_ns,
-            "p50_ns": merged.p50_ns,
-            "p95_ns": merged.p95_ns,
-            "p99_ns": merged.p99_ns,
-            "p999_ns": merged.p999_ns,
-            "max_ns": merged.max_ns,
-            "read_mean_latency_ns": merged_reads.mean_ns,
-            "read_p50_ns": merged_reads.p50_ns,
-            "read_p99_ns": merged_reads.p99_ns,
-            "read_p999_ns": merged_reads.p999_ns,
-            "read_max_ns": merged_reads.max_ns,
-        }
+        tenants = self.router.tenants
+        overall = ClusterTenantMetrics.merged(tenant.metrics for tenant in tenants)
+        overall_stats = overall.snapshot(elapsed_ns)
+        # The cluster-wide view never reported demanded bytes.
+        del overall_stats["demanded_bytes"]
+        begun = Counter(
+            self.config.faults[index].server
+            for _, edge, index in self.injector.timeline
+            if edge == "begin"
+        )
         # Every node runs the same backend unless overridden; report the
         # common one (or the base config's) plus any per-server drift.
         backend = self.config.backend or next(
@@ -215,14 +193,18 @@ class Cluster:
             elapsed_ns=elapsed_ns,
             events_processed=self.loop.processed,
             tenants={
-                state.spec.name: state.metrics.snapshot(elapsed_ns)
-                for state in tenant_states
+                tenant.spec.name: tenant.metrics.snapshot(elapsed_ns) for tenant in tenants
             },
             per_server={
-                name: node.metrics.snapshot()
+                name: {
+                    "attempts": float(node.submitted),
+                    "completed": float(node.completed),
+                    "cancelled": float(node.dropped),
+                    "faults_begun": float(begun[name]),
+                }
                 for name, node in sorted(self.nodes.items())
             },
-            overall=overall,
+            overall=overall_stats,
             fault_timeline=self.injector.timeline_dict(),
         )
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.node import ClusterNode
     from repro.serve.engine import EventLoop
+    from repro.serve.server import StorageNode
 
 SERVER_STALL = "server_stall"
 DIE_SLOWDOWN = "die_slowdown"
@@ -73,6 +73,17 @@ class FaultSpec:
         if self.kind == LINK_DEGRADE and self.link_degrade_factor < 1.0:
             raise ValueError("link_degrade_factor must be >= 1")
 
+    def canonical_key(self) -> tuple:
+        """Order of same-kind factors in a product, independent of firing order."""
+        return (
+            self.kind,
+            self.start_ns,
+            self.duration_ns,
+            self.channel,
+            self.die_slowdown_factor,
+            self.link_degrade_factor,
+        )
+
     def to_dict(self) -> dict[str, object]:
         return {
             "kind": self.kind,
@@ -90,16 +101,21 @@ class FaultInjector:
 
     The injector owns no clock and draws no randomness at run time: the
     schedule is fixed data by the time :meth:`arm` runs, and begin/end
-    land on the loop like any other event.  ``timeline`` records each
-    transition ``(time_ns, "begin"|"end", schedule index)`` in firing
-    order for the result dump.
+    land on the loop like any other event.  Each transition recomputes
+    the target node's fault state from the faults active on it —
+    stalled while any stall is active (stalls nest), and the product of
+    the active slowdown factors per NAND channel and for PCIe — and
+    hands it to :meth:`~repro.serve.server.StorageNode.set_faults`.
+    ``timeline`` records each transition ``(time_ns, "begin"|"end",
+    schedule index)`` in firing order for the result dump.
     """
 
     def __init__(self, schedule: tuple[FaultSpec, ...] = ()) -> None:
         self.schedule = tuple(schedule)
         self.timeline: list[tuple[float, str, int]] = []
+        self._active: dict[str, list[FaultSpec]] = {}
 
-    def arm(self, loop: "EventLoop", nodes: dict[str, "ClusterNode"]) -> None:
+    def arm(self, loop: "EventLoop", nodes: dict[str, "StorageNode"]) -> None:
         """Validate targets and schedule every begin/end event."""
         for index, spec in enumerate(self.schedule):
             node = nodes.get(spec.server)
@@ -119,18 +135,38 @@ class FaultInjector:
     def _transition(
         self,
         loop: "EventLoop",
-        node: "ClusterNode",
+        node: "StorageNode",
         spec: FaultSpec,
         index: int,
         *,
         begin: bool,
     ):
+        active = self._active.setdefault(spec.server, [])
+
         def fire() -> None:
             self.timeline.append((loop.now_ns, "begin" if begin else "end", index))
             if begin:
-                node.begin_fault(spec)
+                active.append(spec)
+                # Canonical order: the float product of several
+                # same-kind factors never depends on which same-instant
+                # begin event fired first.
+                active.sort(key=FaultSpec.canonical_key)
             else:
-                node.end_fault(spec)
+                active.remove(spec)
+            nand_factors: dict[int, float] = {}
+            pcie_factor = 1.0
+            for fault in active:
+                if fault.kind == DIE_SLOWDOWN:
+                    nand_factors[fault.channel] = (
+                        nand_factors.get(fault.channel, 1.0) * fault.die_slowdown_factor
+                    )
+                elif fault.kind == LINK_DEGRADE:
+                    pcie_factor *= fault.link_degrade_factor
+            node.set_faults(
+                stalled=any(fault.kind == SERVER_STALL for fault in active),
+                nand_factors=nand_factors,
+                pcie_factor=pcie_factor,
+            )
 
         return fire
 

@@ -2,7 +2,7 @@
 
 Mirrors :mod:`repro.serve.metrics` one level up: tenants accumulate
 request-level latency (submit at the router to first winning replica
-answer), servers accumulate attempt-level load, and the whole thing
+answer), nodes count attempt-level load, and the whole thing
 snapshots into a :class:`ClusterResult` whose ``to_dict`` is canonical
 — same :class:`~repro.cluster.cluster.ClusterConfig` + seed gives a
 byte-identical dict, which is what the determinism and perturbation
@@ -12,20 +12,16 @@ regressions digest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
+from repro.serve.metrics import RequestMetrics
 from repro.sim.stats import LatencyHistogram
 
 
 @dataclass
-class ClusterTenantMetrics:
+class ClusterTenantMetrics(RequestMetrics):
     """Live accumulator for one tenant's cluster-level requests."""
 
-    tenant: str
-    submitted: int = 0
-    completed: int = 0
-    reads: int = 0
-    writes: int = 0
-    demanded_bytes: int = 0
     #: Hedged-policy accounting: second attempts issued / attempts that
     #: won the race / cancelled before dispatch / completed after the
     #: winner (duplicate work the device actually performed).
@@ -33,60 +29,26 @@ class ClusterTenantMetrics:
     hedges_won: int = 0
     hedges_cancelled: int = 0
     hedges_wasted: int = 0
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Reads only — the population replica policies act on (writes are
     #: write-all and pinned to the full replica set regardless).
     read_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
 
+    COUNTERS: ClassVar[tuple[str, ...]] = (
+        "hedges_issued",
+        "hedges_won",
+        "hedges_cancelled",
+        "hedges_wasted",
+    )
+
     def snapshot(self, elapsed_ns: float) -> dict[str, float]:
-        elapsed_s = elapsed_ns / 1e9 if elapsed_ns > 0 else 0.0
-        achieved_qps = self.completed / elapsed_s if elapsed_s else 0.0
-        return {
-            "submitted": float(self.submitted),
-            "completed": float(self.completed),
-            "reads": float(self.reads),
-            "writes": float(self.writes),
-            "demanded_bytes": float(self.demanded_bytes),
-            "hedges_issued": float(self.hedges_issued),
-            "hedges_won": float(self.hedges_won),
-            "hedges_cancelled": float(self.hedges_cancelled),
-            "hedges_wasted": float(self.hedges_wasted),
-            "achieved_qps": achieved_qps,
-            "mean_latency_ns": self.latency.mean_ns,
-            "p50_ns": self.latency.p50_ns,
-            "p95_ns": self.latency.p95_ns,
-            "p99_ns": self.latency.p99_ns,
-            "p999_ns": self.latency.p999_ns,
-            "max_ns": self.latency.max_ns,
-            "read_mean_latency_ns": self.read_latency.mean_ns,
-            "read_p50_ns": self.read_latency.p50_ns,
-            "read_p99_ns": self.read_latency.p99_ns,
-            "read_p999_ns": self.read_latency.p999_ns,
-            "read_max_ns": self.read_latency.max_ns,
-        }
-
-
-@dataclass
-class ServerMetrics:
-    """Live accumulator for one cluster node."""
-
-    server: str
-    #: Attempts routed here (primary reads, hedges, replica writes).
-    attempts: int = 0
-    #: Attempts that executed on the storage system and completed.
-    completed: int = 0
-    #: Hedge losers dropped from the ring before dispatch.
-    cancelled: int = 0
-    #: Fault transitions this node went through (begin edges).
-    faults_begun: int = 0
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "attempts": float(self.attempts),
-            "completed": float(self.completed),
-            "cancelled": float(self.cancelled),
-            "faults_begun": float(self.faults_begun),
-        }
+        stats = super().snapshot(elapsed_ns)
+        reads = self.read_latency
+        stats["read_mean_latency_ns"] = reads.mean_ns
+        stats["read_p50_ns"] = reads.p50_ns
+        stats["read_p99_ns"] = reads.p99_ns
+        stats["read_p999_ns"] = reads.p999_ns
+        stats["read_max_ns"] = reads.max_ns
+        return stats
 
 
 @dataclass
@@ -148,4 +110,4 @@ class ClusterResult:
         }
 
 
-__all__ = ["ClusterResult", "ClusterTenantMetrics", "ServerMetrics"]
+__all__ = ["ClusterResult", "ClusterTenantMetrics"]

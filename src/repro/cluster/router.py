@@ -2,12 +2,13 @@
 
 Every tenant request enters here.  The router hashes the record key
 (``path@offset`` — the fine-grained cache's natural granularity) onto
-the ring, applies the replica policy, and forwards one
-:class:`Attempt` per chosen server to that server's
-:class:`~repro.cluster.node.ClusterNode`.  Reads complete on the first
-winning replica answer; writes fan out to the full replica set and
-complete when the last copy lands (write-all, the strongest and
-simplest consistency for a read-path study).
+the ring, applies the replica policy, and admits one :class:`Attempt`
+per chosen server into that server's
+:class:`~repro.serve.server.StorageNode` — the same node class a
+single :class:`~repro.serve.server.StorageServer` runs.  Reads
+complete on the first winning replica answer; writes fan out to the
+full replica set and complete when the last copy lands (write-all, the
+strongest and simplest consistency for a read-path study).
 
 Tie-break independence — the property the perturbation harness checks
 — is engineered the same way as in the serving layer: every decision
@@ -15,11 +16,17 @@ that could depend on the order of simultaneous events is deferred to
 the settle phase and processed in a *stable* order:
 
 - **routing is settled**: submissions during a wave buffer into
-  ``_pending_requests``; the settler routes them sorted by
-  ``order_key`` (tenant index + op content), so least-outstanding
-  choices see the aggregate post-wave outstanding counts, in an order
-  no tie-break can permute (two *identical* ops may swap, which is
-  observationally symmetric);
+  ``_pending_requests``; the router's settler (registered before any
+  node's pump, so it runs first in every pass) routes them sorted by
+  ``order_key`` — tenant slot, then the tenant's own submission count,
+  which follows its client's draw order under every tie-break — so
+  least-outstanding choices see the aggregate post-wave outstanding
+  counts;
+- **admission is settled**: the attempts a pass routes or hedges are
+  admitted to their nodes at the end of the pass in attempt-key order,
+  so ring content never depends on the tie-break, and the nodes' pumps
+  later in the same pass fetch them exactly as a single server fetches
+  its wave-time submissions — a one-node cluster *is* a server;
 - **hedging is settled**: a hedge timer marks the request hedge-due;
   the settler issues the hedge only if the request is still
   unsatisfied *after* the whole wave — a completion at exactly the
@@ -36,28 +43,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.metrics import ClusterTenantMetrics
-from repro.cluster.policies import HEDGED, ReplicaPolicy
-from repro.serve.clients import Client, build_client
+from repro.cluster.policies import ReplicaPolicy
+from repro.serve.server import Tenant
 from repro.workloads.trace import Op, WriteOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.node import ClusterNode
     from repro.cluster.ring import HashRing
     from repro.serve.engine import EventLoop, ScheduledEvent
-    from repro.serve.server import TenantSpec
+    from repro.serve.server import StorageNode, TenantSpec
     from repro.sim.racecheck import RaceChecker
-
-
-class _RouterTenant:
-    """Router-side live state of one tenant."""
-
-    __slots__ = ("spec", "index", "metrics", "client")
-
-    def __init__(self, spec: "TenantSpec", index: int, client: Client) -> None:
-        self.spec = spec
-        self.index = index
-        self.metrics = ClusterTenantMetrics(spec.name)
-        self.client = client
 
 
 class Request:
@@ -81,7 +75,7 @@ class Request:
 
     def __init__(
         self,
-        tenant: _RouterTenant,
+        tenant: Tenant,
         op: Op,
         key: str,
         submit_ns: float,
@@ -94,18 +88,10 @@ class Request:
         self.submit_ns = submit_ns
         self.replicas = replicas
         self.is_write = isinstance(op, WriteOp)
-        # Content-based stable order among same-wave requests: two
-        # *different* ops of one tenant always separate on offset/size;
-        # two identical ops are symmetric, so the trailing submission
-        # sequence may break their tie arbitrarily without any
-        # observable consequence.
-        self.order_key = (
-            tenant.index,
-            op.offset,
-            op.size,
-            1 if self.is_write else 0,
-            seq,
-        )
+        # Stable order among same-wave requests: tenant slot, then the
+        # tenant's own submission count, which follows its client's
+        # draw order under every tie-break.
+        self.order_key = (tenant.index, seq)
         self.attempts: list[Attempt] = []
         self.satisfied_ns: float | None = None
         self.winner: "Attempt | None" = None
@@ -115,12 +101,13 @@ class Request:
 
 
 class Attempt:
-    """One copy of a request sent to one server."""
+    """One copy of a request sent to one server: a node lane's entry."""
 
-    __slots__ = ("request", "server", "index", "cancelled", "dispatched")
+    __slots__ = ("request", "op", "server", "index", "cancelled", "dispatched")
 
     def __init__(self, request: Request, server: str, index: int) -> None:
         self.request = request
+        self.op = request.op
         self.server = server
         #: 0 = first/primary attempt; 1 = the hedge (reads), or the
         #: replica rank (writes).
@@ -140,11 +127,11 @@ class Attempt:
 def _router_ops_commute(op_a: str, op_b: str) -> bool:
     """Wave-phase router operations that commute.
 
-    ``submit`` appends to a buffer the settler sorts; ``complete``
-    touches per-request state (same-timestamp completions of one
-    request resolve by the prefer-primary rule) and counters that only
-    increment/decrement; ``hedge-due`` marks a flag the settler reads
-    after the wave.  ``route`` happens only in the settle phase, which
+    ``submit`` appends to a buffer the settler sorts by tenant slot and
+    per-tenant submission count; ``complete`` touches per-request state
+    (same-timestamp completions of one request resolve by the
+    prefer-primary rule) and counters that only increment/decrement;
+    ``hedge-due`` marks a flag the settler reads after the wave.  ``route`` happens only in the settle phase, which
     the checker already fences.
     """
     commuting = {"submit", "complete", "hedge-due"}
@@ -152,13 +139,19 @@ def _router_ops_commute(op_a: str, op_b: str) -> bool:
 
 
 class Router:
-    """Consistent-hash front end over the cluster's nodes."""
+    """Consistent-hash front end over the cluster's nodes.
+
+    The router's settler is registered before any node exists, so it
+    runs first in every settle pass: the pass's routed and hedged
+    attempts enter the node rings before any node pump fetches, just
+    as a single server's wave-time submissions do.  ``nodes`` is filled
+    by the owner once the nodes are built.
+    """
 
     def __init__(
         self,
         loop: "EventLoop",
         ring: "HashRing",
-        nodes: dict[str, "ClusterNode"],
         policy: ReplicaPolicy,
         tenants: tuple["TenantSpec", ...],
         *,
@@ -167,58 +160,43 @@ class Router:
     ) -> None:
         self.loop = loop
         self.ring = ring
-        self.nodes = nodes
+        self.nodes: dict[str, "StorageNode"] = {}
         self.policy = policy
         self.racecheck = racecheck
         #: Router-visible load per server: attempts issued minus
         #: attempts completed or cancelled (what least-outstanding and
         #: hedge-target selection read).
         self.outstanding: dict[str, int] = {name: 0 for name in ring.servers}
-        self._seq = 0
         self._pending_requests: list[Request] = []
         self._pending_hedges: list[Request] = []
-        self._tenants: list[_RouterTenant] = []
+        #: Attempts issued in the running settle pass, admitted at its end.
+        self._issued: list[Attempt] = []
+        self.tenants: list[Tenant] = []
         for index, spec in enumerate(tenants):
-            client = build_client(spec, index, seed)
-            state = _RouterTenant(spec, index, client)
-            self._tenants.append(state)
-            client.bind(loop, self._make_submit(state))
-            if racecheck is not None:
-                racecheck.track(
-                    state.metrics.latency,
-                    f"latency:{spec.name}",
-                    commutative_ops={"record"},
-                )
-                racecheck.track(
-                    state.metrics.read_latency,
-                    f"read-latency:{spec.name}",
-                    commutative_ops={"record"},
-                )
+            tenant = Tenant(spec, index, seed, ClusterTenantMetrics(spec.name), racecheck)
+            self.tenants.append(tenant)
+            tenant.client.bind(loop, self._make_submit(tenant))
         if racecheck is not None:
             racecheck.track(self, "router", commutes=_router_ops_commute)
         self._wake = loop.add_settler(self._settle)
-        for node in nodes.values():
-            node.on_attempt_done = self.on_attempt_done
 
     # --- clients -------------------------------------------------------
     def start_clients(self) -> None:
-        for state in self._tenants:
-            state.client.start()
-
-    def tenant_states(self) -> list[_RouterTenant]:
-        return self._tenants
+        for tenant in self.tenants:
+            tenant.client.start()
 
     # --- submission (wave phase: buffer only) --------------------------
-    def _make_submit(self, state: _RouterTenant):
+    def _make_submit(self, tenant: Tenant):
+        metrics = tenant.metrics
+
         def submit(op: Op) -> None:
             if self.racecheck is not None:
                 self.racecheck.access(self, "write", "submit")
-            state.metrics.submitted += 1
+            metrics.submitted += 1
             key = f"{op.path}@{op.offset}"
             request = Request(
-                state, op, key, self.loop.now_ns, self.ring.replicas(key), self._seq
+                tenant, op, key, self.loop.now_ns, self.ring.replicas(key), metrics.submitted
             )
-            self._seq += 1
             if self.loop.running:
                 self._pending_requests.append(request)
                 self._wake()
@@ -227,22 +205,23 @@ class Router:
 
         return submit
 
-    # --- settle phase: route + hedge in stable order --------------------
+    # --- settle phase: route + hedge + admit in stable order ------------
     def _settle(self) -> bool:
-        worked = False
-        if self._pending_requests:
-            batch = sorted(self._pending_requests, key=lambda r: r.order_key)
-            self._pending_requests.clear()
-            for request in batch:
-                self._route(request)
-            worked = True
-        if self._pending_hedges:
-            batch = sorted(self._pending_hedges, key=lambda r: r.order_key)
-            self._pending_hedges.clear()
-            for request in batch:
-                self._issue_hedge(request)
-            worked = True
-        return worked
+        if not (self._pending_requests or self._pending_hedges):
+            return False
+        requests = sorted(self._pending_requests, key=lambda r: r.order_key)
+        self._pending_requests.clear()
+        hedges = sorted(self._pending_hedges, key=lambda r: r.order_key)
+        self._pending_hedges.clear()
+        for request in requests:
+            self._route(request)
+        for request in hedges:
+            self._issue_hedge(request)
+        issued = sorted(self._issued, key=lambda a: a.order_key)
+        self._issued.clear()
+        for attempt in issued:
+            self.nodes[attempt.server].admit(attempt.tenant_index, attempt)
+        return True
 
     def _route(self, request: Request) -> None:
         if self.racecheck is not None:
@@ -269,7 +248,10 @@ class Router:
         attempt = Attempt(request, server, index)
         request.attempts.append(attempt)
         self.outstanding[server] += 1
-        self.nodes[server].submit(attempt)
+        if self.loop.running:
+            self._issued.append(attempt)
+        else:
+            self.nodes[server].admit(attempt.tenant_index, attempt)
 
     def _make_hedge_timer(self, request: Request):
         def hedge_due() -> None:
@@ -299,7 +281,11 @@ class Router:
     def _outstanding_of(self, server: str) -> int:
         return self.outstanding[server]
 
-    # --- completion (wave phase) ----------------------------------------
+    # --- node callbacks ------------------------------------------------
+    def on_attempt_dispatched(self, attempt: Attempt) -> None:
+        """A node fetched the attempt into a device slot (settle phase)."""
+        attempt.dispatched = True
+
     def on_attempt_done(self, attempt: Attempt, end_ns: float) -> None:
         if self.racecheck is not None:
             self.racecheck.access(self, "write", "complete")
@@ -355,8 +341,8 @@ class Router:
             if other is winner or other.cancelled:
                 continue
             if not other.dispatched:
-                # Still queued in a ring (or the admission buffer): the
-                # node drops it at fetch time without executing it.
+                # Still queued in a node lane: the node drops it at
+                # fetch time without executing it.
                 other.cancelled = True
                 self.outstanding[other.server] -= 1
                 request.tenant.metrics.hedges_cancelled += 1

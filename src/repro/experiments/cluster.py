@@ -41,12 +41,11 @@ from repro.cluster import (
     FaultSpec,
     run_cluster,
 )
-from repro.cluster.cluster import Cluster
+from repro.experiments.runner import order_independence
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.serve.qos import TenantQoS
 from repro.serve.server import TenantSpec
 from repro.sim import racecheck as racecheck_mod
-from repro.sim.racecheck import RaceChecker, perturbed, result_digest
 from repro.workloads.socialgraph import SocialGraphConfig, social_graph_trace
 
 TITLE = "Cluster: tail amplification by replica-read policy x fault type"
@@ -227,57 +226,6 @@ def _amplification(results: dict[str, dict[str, ClusterResult]]) -> dict[str, di
 PERTURBATION_SEEDS = tuple(range(1, 5))
 
 
-def _order_independence(
-    tenants: tuple[TenantSpec, ...], sim_config, horizon_ns: float
-) -> tuple[list[list[str]], dict]:
-    """Race-check + tie-break-perturb every policy with faults active.
-
-    Runs only when race checking is armed (``--racecheck`` /
-    ``REPRO_RACECHECK=1``).  A detected race raises
-    :class:`~repro.sim.racecheck.RaceError` from inside the run; any
-    perturbation drift raises ``RuntimeError`` — both fail CI.
-    """
-    # The stall scenario exercises the most machinery: gated pumps,
-    # ring backlog, hedges racing recovery.
-    faults = fault_schedule("server-stall", horizon_ns)
-    rows: list[list[str]] = []
-    raw: dict[str, dict] = {}
-    for policy in POLICY_ORDER:
-        config = cluster_config(tenants, policy, faults)
-        checker = RaceChecker()
-        checked = Cluster(config, sim_config, racecheck=checker).run()
-        report = perturbed(
-            lambda seed: run_cluster(config, sim_config, tiebreak_seed=seed), PERTURBATION_SEEDS
-        )
-        if not report.identical:
-            raise RuntimeError(
-                f"cluster result depends on the event tie-break "
-                f"(policy={policy}): {report.render()}"
-            )
-        rows.append(
-            [
-                policy,
-                f"{checker.events_tracked}",
-                f"{checker.accesses_checked}",
-                f"{len(checker.races)}",
-                f"{len(report.digests)}",
-                "yes" if report.identical else "NO",
-            ]
-        )
-        raw[policy] = {
-            "events_tracked": checker.events_tracked,
-            "accesses_checked": checker.accesses_checked,
-            "races": len(checker.races),
-            "checked_digest": result_digest(checked),
-            "perturbation": {
-                "baseline_digest": report.baseline_digest,
-                "digests": {str(seed): d for seed, d in sorted(report.digests.items())},
-                "identical": report.identical,
-            },
-        }
-    return rows, raw
-
-
 def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
     scale = scale or get_scale()
     sim_config = scale.sim_config()
@@ -326,13 +274,19 @@ def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
         "horizon_ns": horizon_ns,
     }
     if racecheck_mod.active():
-        race_rows, race_raw = _order_independence(tenants, sim_config, horizon_ns)
-        report += "\n\n" + text_table(
-            ["policy", "events", "accesses", "races", "seeds", "identical"],
-            race_rows,
-            title="Order independence: happens-before races + tie-break perturbation",
+        # Race-check + tie-break-perturb every policy with faults active;
+        # the stall scenario exercises the most machinery: gated pumps,
+        # ring backlog, hedges racing recovery.
+        faults = fault_schedule("server-stall", horizon_ns)
+        table, extra["racecheck"] = order_independence(
+            "policy",
+            {policy: cluster_config(tenants, policy, faults) for policy in POLICY_ORDER},
+            lambda cluster, checker, seed: run_cluster(
+                cluster, sim_config, racecheck=checker, tiebreak_seed=seed
+            ),
+            PERTURBATION_SEEDS,
         )
-        extra["racecheck"] = race_raw
+        report += "\n\n" + table
     return ExperimentOutcome(
         experiment="cluster",
         title=TITLE,

@@ -1,10 +1,18 @@
-"""Trace execution harness: drive one trace through one or all systems."""
+"""Trace execution harness: drive one trace through one or all systems.
+
+Also the one order-independence check the event-loop experiments run
+under ``--racecheck``.
+"""
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from repro.analysis.metrics import SYSTEM_ORDER, WorkloadComparison
+from repro.analysis.report import text_table
 from repro.config import SimConfig
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
+from repro.sim.racecheck import RaceChecker, perturbed, result_digest
 from repro.system import StorageSystem, SystemResult, build_system
 from repro.workloads.trace import ReadOp, Trace
 
@@ -70,4 +78,59 @@ def run_comparison(
     )
 
 
-__all__ = ["run_comparison", "run_trace_on", "run_trace_system"]
+def order_independence(
+    key: str,
+    configs: dict[str, Any],
+    run: Callable[[Any, RaceChecker | None, int | None], Any],
+    seeds: tuple[int, ...],
+) -> tuple[str, dict[str, dict]]:
+    """Race-check and tie-break-perturb each config; ``RuntimeError`` on drift.
+
+    ``run(config, racecheck, tiebreak_seed)`` builds and runs a fresh
+    program.  Each config runs once with a :class:`RaceChecker`
+    attached (a race raises :class:`~repro.sim.racecheck.RaceError`
+    from inside the run), then under
+    :func:`~repro.sim.racecheck.perturbed` over ``seeds``.  Returns the
+    report table (one row per ``key`` label) and the raw records.
+    """
+    rows: list[list[str]] = []
+    raw: dict[str, dict] = {}
+    for label, config in configs.items():
+        checker = RaceChecker()
+        checked = run(config, checker, None)
+        report = perturbed(lambda seed: run(config, None, seed), seeds)
+        if not report.identical:
+            raise RuntimeError(
+                f"result depends on the event tie-break ({key}={label}): {report.render()}"
+            )
+        races = len(checker.races)
+        rows.append(
+            [
+                label,
+                f"{checker.events_tracked}",
+                f"{checker.accesses_checked}",
+                f"{races}",
+                f"{len(report.digests)}",
+                "yes",
+            ]
+        )
+        raw[label] = {
+            "events_tracked": checker.events_tracked,
+            "accesses_checked": checker.accesses_checked,
+            "races": races,
+            "checked_digest": result_digest(checked),
+            "perturbation": {
+                "baseline_digest": report.baseline_digest,
+                "digests": {str(seed): d for seed, d in sorted(report.digests.items())},
+                "identical": report.identical,
+            },
+        }
+    table = text_table(
+        [key, "events", "accesses", "races", "seeds", "identical"],
+        rows,
+        title="Order independence: happens-before races + tie-break perturbation",
+    )
+    return table, raw
+
+
+__all__ = ["order_independence", "run_comparison", "run_trace_on", "run_trace_system"]

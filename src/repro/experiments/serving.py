@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from repro.analysis.metrics import ExperimentOutcome
 from repro.analysis.report import text_table
+from repro.experiments.runner import order_independence
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.serve.qos import SHED, TenantQoS
-from repro.serve.server import ServeConfig, StorageServer, TenantSpec, serve
+from repro.serve.server import ServeConfig, TenantSpec, serve
 from repro.sim import racecheck as racecheck_mod
-from repro.sim.racecheck import RaceChecker, perturbed
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 
 TITLE = "Multi-tenant serving: NVMe MQ arbitration + per-tenant QoS"
@@ -152,70 +152,22 @@ def _qos_ablation(scale: ExperimentScale, config) -> tuple[list[list[str]], dict
 PERTURBATION_SEEDS = tuple(range(1, 9))
 
 
-def _order_independence(scale: ExperimentScale, config) -> tuple[list[list[str]], dict]:
-    """Race-check + tie-break-perturb the arbitration smoke config.
-
-    Runs only when race checking is armed (``--racecheck`` /
-    ``REPRO_RACECHECK=1``).  Any detected race raises
-    :class:`~repro.sim.racecheck.RaceError` from inside the run; any
-    perturbation drift raises ``RuntimeError`` — both fail CI.
-    """
+def _race_config(scale: ExperimentScale, arbitration: str) -> ServeConfig:
+    """The arbitration smoke config the ``--racecheck`` pass checks."""
     ops = scale.sweep_requests
-    rows: list[list[str]] = []
-    raw: dict[str, dict] = {}
-    for arbitration in ("rr", "wrr"):
-        serve_config = ServeConfig(
-            tenants=(
-                TenantSpec(
-                    "heavy",
-                    _trace(scale, 11),
-                    qos=TenantQoS(weight=2),
-                    concurrency=16,
-                    max_ops=ops,
-                ),
-                TenantSpec(
-                    "light",
-                    _trace(scale, 12),
-                    qos=TenantQoS(weight=1),
-                    concurrency=16,
-                    max_ops=ops,
-                ),
+    return ServeConfig(
+        tenants=(
+            TenantSpec(
+                "heavy", _trace(scale, 11), qos=TenantQoS(weight=2), concurrency=16, max_ops=ops
             ),
-            system=SYSTEM,
-            arbitration=arbitration,
-            max_inflight=8,
-        )
-        checker = RaceChecker()
-        StorageServer(serve_config, config, racecheck=checker).run()
-        report = perturbed(
-            lambda seed: serve(serve_config, config, tiebreak_seed=seed), PERTURBATION_SEEDS
-        )
-        if not report.identical:
-            raise RuntimeError(
-                f"serving result depends on the event tie-break "
-                f"(arbitration={arbitration}): {report.render()}"
-            )
-        rows.append(
-            [
-                arbitration,
-                f"{checker.events_tracked}",
-                f"{checker.accesses_checked}",
-                f"{len(checker.races)}",
-                f"{len(report.digests)}",
-                "yes" if report.identical else "NO",
-            ]
-        )
-        raw[arbitration] = {
-            "events_tracked": checker.events_tracked,
-            "accesses_checked": checker.accesses_checked,
-            "races": len(checker.races),
-            "perturbation": {
-                "baseline_digest": report.baseline_digest,
-                "digests": {str(seed): d for seed, d in sorted(report.digests.items())},
-                "identical": report.identical,
-            },
-        }
-    return rows, raw
+            TenantSpec(
+                "light", _trace(scale, 12), qos=TenantQoS(weight=1), concurrency=16, max_ops=ops
+            ),
+        ),
+        system=SYSTEM,
+        arbitration=arbitration,
+        max_inflight=8,
+    )
 
 
 def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
@@ -243,13 +195,16 @@ def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
     )
     extra = {"arbitration": arbitration_raw, "ablation": ablation_raw}
     if racecheck_mod.active():
-        race_rows, race_raw = _order_independence(scale, config)
-        report += "\n\n" + text_table(
-            ["arb", "events", "accesses", "races", "seeds", "identical"],
-            race_rows,
-            title="Order independence: happens-before races + tie-break perturbation",
+        # Race-check + tie-break-perturb the arbitration smoke config.
+        table, extra["racecheck"] = order_independence(
+            "arb",
+            {arbitration: _race_config(scale, arbitration) for arbitration in ("rr", "wrr")},
+            lambda serve_config, checker, seed: serve(
+                serve_config, config, racecheck=checker, tiebreak_seed=seed
+            ),
+            PERTURBATION_SEEDS,
         )
-        extra["racecheck"] = race_raw
+        report += "\n\n" + table
     return ExperimentOutcome(
         experiment="serving",
         title=TITLE,

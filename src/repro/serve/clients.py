@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 import itertools
 import random
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.serve.engine import EventLoop
@@ -100,6 +101,8 @@ class ClosedLoopClient(Client):
             raise ValueError("think time must be non-negative")
         self.concurrency = concurrency
         self.think_ns = think_ns
+        #: Ops drawn at a completion, waiting out their think time.
+        self._thinking: deque[Op] = deque()
 
     def start(self) -> None:
         assert self._loop is not None and self._submit is not None
@@ -114,11 +117,18 @@ class ClosedLoopClient(Client):
         next_op = self._next_op()
         if next_op is None:
             return
-        submit = self._submit
         if self.think_ns > 0:
-            self._loop.schedule(self.think_ns, lambda: submit(next_op))
+            # Same-instant think events fire in tie-break order, so each
+            # one submits the oldest drawn op rather than its own: the
+            # tenant's submission order stays the draw order.
+            self._thinking.append(next_op)
+            self._loop.schedule(self.think_ns, self._submit_oldest)
         else:
-            submit(next_op)
+            self._submit(next_op)
+
+    def _submit_oldest(self) -> None:
+        assert self._submit is not None
+        self._submit(self._thinking.popleft())
 
 
 class OpenLoopClient(Client):

@@ -23,9 +23,9 @@ baseline) on the deterministic event loop:
 6. completion feeds the tenant's tail-latency accounting and, for
    closed-loop clients, releases the next submission.
 
-Steps 3-5 are :class:`ServerCore`, shared with the cluster's
-:class:`~repro.cluster.node.ClusterNode`; :class:`StorageServer` adds
-the clients, QoS admission and per-tenant metrics.
+Steps 2-5 are one :class:`StorageNode`, the same class every cluster
+server runs (:mod:`repro.cluster`); :class:`StorageServer` adds the
+clients and per-tenant metrics, and admits each submission at once.
 
 Same ``ServeConfig`` + seed => byte-identical :class:`ServeResult`.
 """
@@ -34,13 +34,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.config import SimConfig
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
-from repro.serve.clients import CLOSED, OPEN, Client, build_client
+from repro.serve.clients import CLOSED, OPEN, build_client
 from repro.serve.engine import EventLoop
-from repro.serve.metrics import ServeResult, TenantMetrics
+from repro.serve.metrics import RequestMetrics, ServeResult, TenantMetrics
 from repro.serve.nvme_mq import ARBITERS, MultiQueueNvme
 from repro.serve.qos import SHED, AdmissionRejected, TenantQoS, TokenBucket
 from repro.sim import racecheck as racecheck_mod
@@ -101,56 +101,101 @@ class ServeConfig:
     max_time_ns: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.tenants:
-            raise ValueError("need at least one tenant")
-        names = [spec.name for spec in self.tenants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tenant names in {names}")
-        if self.arbitration not in ARBITERS:
-            raise ValueError(
-                f"unknown arbitration {self.arbitration!r}; choose from {sorted(ARBITERS)}"
-            )
-        if self.max_inflight <= 0:
-            raise ValueError("max_inflight must be positive")
+        validate_tenants(self.tenants, self.arbitration, self.max_inflight, "max_inflight")
 
 
-class ServerTenant:
-    """One tenant as a server core sees it: backlog and open files."""
+def validate_tenants(
+    tenants: Sequence[TenantSpec], arbitration: str, inflight: int, inflight_name: str
+) -> None:
+    """The checks every tenant set gets, whichever front end runs it."""
+    if not tenants:
+        raise ValueError("need at least one tenant")
+    names = [spec.name for spec in tenants]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate tenant names in {names}")
+    if arbitration not in ARBITERS:
+        raise ValueError(
+            f"unknown arbitration {arbitration!r}; choose from {sorted(ARBITERS)}"
+        )
+    if inflight <= 0:
+        raise ValueError(f"{inflight_name} must be positive")
 
-    __slots__ = ("spec", "backlog", "fds")
 
-    def __init__(self, spec: TenantSpec) -> None:
+class Tenant:
+    """One tenant as a front end sees it: spec, slot, client, metrics.
+
+    With a race checker, every latency histogram of ``metrics`` is
+    registered; inserts commute (order-independent sketch), so only
+    mixed access patterns can race.
+    """
+
+    __slots__ = ("spec", "index", "client", "metrics")
+
+    def __init__(
+        self,
+        spec: TenantSpec,
+        index: int,
+        seed: int,
+        metrics: RequestMetrics,
+        racecheck: RaceChecker | None,
+    ) -> None:
         self.spec = spec
-        #: Entries admitted but not yet in the tenant's NVMe ring.
+        self.index = index
+        self.client = build_client(spec, index, seed)
+        self.metrics = metrics
+        if racecheck is not None:
+            for name, histogram in metrics.histograms():
+                racecheck.track(histogram, f"{name}:{spec.name}", commutative_ops={"record"})
+
+
+class _Lane:
+    """One tenant inside one node: ring, backlog, open files, QoS state."""
+
+    __slots__ = ("spec", "queue", "backlog", "fds", "bucket", "retry", "metrics")
+
+    def __init__(self, spec: TenantSpec, mq: MultiQueueNvme) -> None:
+        self.spec = spec
+        self.queue = mq.add_queue(spec.name, depth=spec.qos.queue_depth, weight=spec.qos.weight)
+        #: Entries admitted to the node but not yet in the ring.
         self.backlog: deque = deque()
         self.fds: dict[str, int] = {}
+        self.bucket: TokenBucket | None = (
+            TokenBucket(spec.qos.rate_limit_qps, spec.qos.burst)
+            if spec.qos.rate_limit_qps is not None
+            else None
+        )
+        #: Pending timer for a token-bucket retry (avoid duplicates).
+        self.retry = None
+        #: This node's admission counts for the tenant (``admitted``,
+        #: ``shed``, ``rate_delayed``); a single server reports them.
+        self.metrics = TenantMetrics(spec.name)
 
 
-class ServerCore:
-    """What a storage server and a cluster node share.
+class StorageNode:
+    """One storage server between admission and completion.
 
-    One registered :class:`~repro.system.StorageSystem` (which hands
-    back each executed op's demand and keeps none), per-tenant NVMe
-    submission rings behind the RR/WRR arbiter,
-    ``max_inflight`` device slots, and a
+    It owns one registered :class:`~repro.system.StorageSystem` (which
+    hands back each executed op's demand and keeps none), a lane per
+    tenant (NVMe submission ring behind the RR/WRR arbiter, backlog,
+    open files, token bucket), ``max_inflight`` device slots, and a
     :class:`~repro.sim.queueing.StagePipeline` whose stage FIFOs are
-    named with ``prefix``.  The settle-deferred pump fetches from the
-    rings while slots are free and hands each entry to ``_dispatch``;
-    fetching frees a ring slot, so blocked backlog re-enters ``_drain``.
+    named with ``prefix``.
 
-    Subclasses supply ``_drain`` (admission into the rings) and
-    ``_dispatch`` (what a fetched entry does: typically ``_execute``
-    then ``stages.submit``, with ``_release`` on completion), and
-    register :meth:`_settle_pump` as a settler after any settler that
-    feeds the rings, keeping the returned wake handle as
-    ``_wake_pump`` (``_pump`` calls it when it defers to the settle
-    phase).
+    Its owner hands it *entries* with :meth:`admit`: any object with
+    an ``op`` and a ``cancelled`` flag.  Admission moves backlog into
+    the ring as the tenant's QoS permits (token bucket; a full ring
+    blocks, or sheds through ``on_shed``).  The settle-deferred pump
+    fetches from the rings while slots are free, drops cancelled
+    entries, calls ``on_dispatch(entry)``, executes the op, replays its
+    demand on the stages (scaled by the fault multipliers) and calls
+    ``on_complete(entry, end_ns)`` when it leaves them.
+    :meth:`set_faults` gates the pump and sets the multipliers.
     """
 
     def __init__(
         self,
         loop: EventLoop,
-        tenants: Sequence[ServerTenant],
+        tenants: Sequence[TenantSpec],
         *,
         system: str,
         sim_config: SimConfig | None,
@@ -158,6 +203,9 @@ class ServerCore:
         max_inflight: int,
         fine_grained: bool,
         racecheck: RaceChecker | None,
+        on_dispatch: Callable[[Any], None],
+        on_complete: Callable[[Any, float], None],
+        on_shed: Callable[[Any], None] | None = None,
         prefix: str = "",
     ) -> None:
         self.loop = loop
@@ -178,32 +226,52 @@ class ServerCore:
             # would hit it in tie-break order.
             racecheck.track(self.system, f"{prefix}system:{system}")
             racecheck.track(self.mq, f"{prefix}nvme-mq:{arbitration}")
+        self._on_dispatch = on_dispatch
+        self._on_complete = on_complete
+        self._on_shed = on_shed
         self.max_inflight = max_inflight
         self.inflight = 0
         self.max_inflight_observed = 0
+        #: Entries admitted, completed, and dropped cancelled at fetch.
+        self.submitted = 0
+        self.completed = 0
+        self.dropped = 0
+        # Fault state (set by repro.cluster.faults): a stalled node
+        # fetches nothing; the multipliers scale charged service.
+        self.stalled = False
+        self.nand_factors: dict[int, float] = {}
+        self.pcie_factor = 1.0
         self._pumping = False
         self._pump_needed = False
-        self._tenants = list(tenants)
-        self._by_name = {state.spec.name: state for state in self._tenants}
+        self.lanes = [_Lane(spec, self.mq) for spec in tenants]
+        self._by_name = {lane.spec.name: lane for lane in self.lanes}
         self._create_files()
         flags = O_RDWR | (O_FINE_GRAINED if fine_grained else 0)
-        for state in self._tenants:
-            spec = state.spec
-            queue = self.mq.add_queue(spec.name, depth=spec.qos.queue_depth, weight=spec.qos.weight)
-            for file in spec.trace.files:
-                state.fds[file.path] = self.system.open(file.path, flags)
-            if racecheck is not None:
-                # A push always moves the tenant backlog *head* into the
-                # ring, so the pushed entry is a function of tenant state,
-                # not of which same-time event does the pushing:
-                # simultaneous pushes commute.  (Pops happen only in the
-                # settle-phase pump, already fenced after the wave.)
-                racecheck.track(queue, f"{prefix}ring:{spec.name}", commutative_ops={"push"})
+        for lane in self.lanes:
+            name = lane.spec.name
+            for file in lane.spec.trace.files:
+                lane.fds[file.path] = self.system.open(file.path, flags)
+            if racecheck is None:
+                continue
+            # Pushes commute because each tenant's backlog order is
+            # tie-break independent: a closed-loop client submits in
+            # draw order whichever same-instant event runs first, and
+            # the router admits in stable key order at settle.  (Pops
+            # happen only in the settle-phase pump, fenced after the
+            # wave.)
+            racecheck.track(lane.queue, f"{prefix}ring:{name}", commutative_ops={"push"})
+            if lane.bucket is not None:
+                lane.bucket.racecheck = racecheck
+                # Token arithmetic commutes; which submitter a failed
+                # take delays does not matter, because the delayed op
+                # is the backlog head either way.
+                racecheck.track(lane.bucket, f"{prefix}bucket:{name}", commutative_ops={"take"})
+        self._wake_pump = loop.add_settler(self._settle_pump)
 
     def _create_files(self) -> None:
         sizes: dict[str, int] = {}
-        for state in self._tenants:
-            for file in state.spec.trace.files:
+        for lane in self.lanes:
+            for file in lane.spec.trace.files:
                 known = sizes.get(file.path)
                 if known is not None:
                     if known != file.size:
@@ -215,14 +283,54 @@ class ServerCore:
                 sizes[file.path] = file.size
                 self.system.create_file(file.path, file.size)
 
-    # --- admission and dispatch policy (subclasses) ---------------------
-    def _drain(self, state: ServerTenant) -> None:
-        """Move backlog entries into the tenant's ring, then ``_pump``."""
-        raise NotImplementedError
+    # --- fault state ---------------------------------------------------
+    def set_faults(
+        self, *, stalled: bool, nand_factors: dict[int, float], pcie_factor: float
+    ) -> None:
+        """Gate the pump and set the per-channel NAND and PCIe multipliers."""
+        resumed = self.stalled and not stalled
+        self.stalled = stalled
+        self.nand_factors = nand_factors
+        self.pcie_factor = pcie_factor
+        if resumed:
+            self._pump()
 
-    def _dispatch(self, state: ServerTenant, entry: object) -> None:
-        """Handle one entry fetched from ``state``'s ring."""
-        raise NotImplementedError
+    # --- admission path ------------------------------------------------
+    def admit(self, index: int, entry: Any) -> None:
+        """Queue one entry for tenant slot ``index`` and drain its lane."""
+        self.submitted += 1
+        lane = self.lanes[index]
+        lane.backlog.append(entry)
+        self._drain(lane)
+
+    def _drain(self, lane: _Lane) -> None:
+        """Move backlog entries into the lane's ring as QoS permits."""
+        queue = lane.queue
+        backlog = lane.backlog
+        while backlog:
+            if queue.full:
+                if lane.spec.qos.full_policy == SHED:
+                    lane.metrics.shed += 1
+                    assert self._on_shed is not None
+                    self._on_shed(backlog.popleft())
+                    continue
+                break  # block: re-drained when a ring slot frees
+            if lane.bucket is not None:
+                ready_ns = lane.bucket.take(self.loop.now_ns)
+                if ready_ns is not None:
+                    if lane.retry is None:
+                        lane.metrics.rate_delayed += 1
+                        lane.retry = self.loop.schedule_at(
+                            ready_ns, lambda: self._retry(lane)
+                        )
+                    break
+            queue.push(backlog.popleft())
+            lane.metrics.admitted += 1
+        self._pump()
+
+    def _retry(self, lane: _Lane) -> None:
+        lane.retry = None
+        self._drain(lane)
 
     # --- dispatch path -------------------------------------------------
     def _pump(self) -> None:
@@ -250,11 +358,12 @@ class ServerCore:
     def _pump_now(self) -> None:
         """The actual fetch loop (settle phase, or before the run starts).
 
+        A stalled node fetches nothing; the stall's end pumps again.
         Guarded against re-entry: ``_drain`` (called below when a fetch
         frees a ring slot) ends with a ``_pump`` of its own, which must
         no-op while this frame's while-loop is already fetching.
         """
-        if self._pumping:
+        if self._pumping or self.stalled:
             return
         self._pumping = True
         try:
@@ -262,50 +371,70 @@ class ServerCore:
                 fetched = self.mq.fetch()
                 if fetched is None:
                     return
-                tenant, entry = fetched
-                state = self._by_name[tenant]
-                self._dispatch(state, entry)
+                lane = self._by_name[fetched[0]]
+                entry = fetched[1]
+                if entry.cancelled:
+                    # Withdrawn while queued (a hedge loser): drop it
+                    # without occupying a device slot.
+                    self.dropped += 1
+                else:
+                    self._dispatch(lane, entry)
                 # Fetching freed a ring slot: blocked backlog may advance.
-                if state.backlog:
-                    self._drain(state)
+                if lane.backlog:
+                    self._drain(lane)
         finally:
             self._pumping = False
 
-    def _execute(self, state: ServerTenant, op: Op) -> RequestDemand:
-        """Run ``op`` in a device slot; return its recorded queueing demand."""
+    def _dispatch(self, lane: _Lane, entry: Any) -> None:
+        """Execute the entry's op in a device slot; replay its demand."""
+        self._on_dispatch(entry)
         self.inflight += 1
         if self.inflight > self.max_inflight_observed:
             self.max_inflight_observed = self.inflight
         if self.racecheck is not None:
             self.racecheck.access(self.system, "write", "io")
-        return self.system.apply(op, state.fds[op.path])
+        op = entry.op
+        demand = self.system.apply(op, lane.fds[op.path])
+        if self.nand_factors or self.pcie_factor != 1.0:
+            # Sampled at dispatch (settle phase), so every same-wave
+            # dispatch sees the same post-wave fault state.
+            channel = demand.channel % len(self.stages.channels)
+            demand = RequestDemand(
+                host_ns=demand.host_ns,
+                nand_ns=demand.nand_ns * self.nand_factors.get(channel, 1.0),
+                channel=demand.channel,
+                pcie_ns=demand.pcie_ns * self.pcie_factor,
+            )
+        self.stages.submit(demand, lambda end_ns: self._complete(entry, end_ns))
 
-    def _release(self) -> None:
-        """An executed op left the stage pipeline: free its device slot."""
+    def _complete(self, entry: Any, end_ns: float) -> None:
+        """The entry left the stage pipeline: report it, free its slot."""
+        self.completed += 1
+        self._on_complete(entry, end_ns)
         self.inflight -= 1
         self._pump()
 
 
-class _TenantState(ServerTenant):
-    """Server-side live state of one tenant."""
+class Submission:
+    """One op a serving tenant submitted: the entry its node lane holds."""
 
-    __slots__ = ("metrics", "bucket", "client", "drain_event")
+    __slots__ = ("tenant", "op", "submit_ns")
 
-    def __init__(self, spec: TenantSpec, client: Client) -> None:
-        super().__init__(spec)
-        self.metrics = TenantMetrics(spec.name)
-        self.bucket: TokenBucket | None = (
-            TokenBucket(spec.qos.rate_limit_qps, spec.qos.burst)
-            if spec.qos.rate_limit_qps is not None
-            else None
-        )
-        self.client = client
-        #: Pending timer for a token-bucket retry (avoid duplicates).
-        self.drain_event = None
+    #: A single server never withdraws a queued submission.
+    cancelled = False
+
+    def __init__(self, tenant: Tenant, op: Op, submit_ns: float) -> None:
+        self.tenant = tenant
+        self.op = op
+        self.submit_ns = submit_ns
 
 
-class StorageServer(ServerCore):
-    """Drive one storage system from many concurrent tenants.
+class StorageServer:
+    """Drive one storage node from many concurrent tenants.
+
+    The server is the tenants' clients, their :class:`TenantMetrics`
+    and one :class:`StorageNode`; a submission enters the node's lane
+    at once, during the wave (the cluster's router admits at settle).
 
     ``racecheck`` attaches a :class:`~repro.sim.racecheck.RaceChecker`
     (created automatically when ``REPRO_RACECHECK=1`` or the CLI's
@@ -329,78 +458,43 @@ class StorageServer(ServerCore):
         self.config = config
         if racecheck is None and racecheck_mod.active():
             racecheck = RaceChecker()
+        self.racecheck = racecheck
         if config.backend is not None:
             sim_config = (sim_config or SimConfig()).scaled(backend=config.backend)
-        super().__init__(
-            EventLoop(racecheck=racecheck, tiebreak_seed=tiebreak_seed),
-            [
-                _TenantState(spec, build_client(spec, index, config.seed))
-                for index, spec in enumerate(config.tenants)
-            ],
+        self.loop = EventLoop(racecheck=racecheck, tiebreak_seed=tiebreak_seed)
+        self.node = StorageNode(
+            self.loop,
+            config.tenants,
             system=config.system,
             sim_config=sim_config,
             arbitration=config.arbitration,
             max_inflight=config.max_inflight,
             fine_grained=config.fine_grained,
             racecheck=racecheck,
+            on_dispatch=self._dispatch,
+            on_complete=self._complete,
+            on_shed=self._shed,
         )
-        self._wake_pump = self.loop.add_settler(self._settle_pump)
-        for state in self._tenants:
-            state.client.bind(self.loop, self._make_submit(state))
-            if racecheck is None:
-                continue
-            name = state.spec.name
-            if state.bucket is not None:
-                state.bucket.racecheck = racecheck
-                # Token arithmetic commutes; which submitter a failed
-                # take delays does not matter, because the delayed op
-                # is the backlog head either way.
-                racecheck.track(state.bucket, f"bucket:{name}", commutative_ops={"take"})
-            # Histogram inserts commute (order-independent sketch), so
-            # only mixed access patterns can race.
-            racecheck.track(state.metrics.latency, f"latency:{name}", commutative_ops={"record"})
-            racecheck.track(
-                state.metrics.queue_delay, f"queue-delay:{name}", commutative_ops={"record"}
-            )
+        self.system = self.node.system
+        self._tenants = [
+            Tenant(lane.spec, index, config.seed, lane.metrics, racecheck)
+            for index, lane in enumerate(self.node.lanes)
+        ]
+        for tenant in self._tenants:
+            tenant.client.bind(self.loop, self._make_submit(tenant))
 
-    # --- submission path ----------------------------------------------
-    def _make_submit(self, state: _TenantState):
+    def _make_submit(self, tenant: Tenant):
+        node = self.node
+        index = tenant.index
+        metrics = tenant.metrics
+
         def submit(op: Op) -> None:
-            state.metrics.submitted += 1
-            state.backlog.append((op, self.loop.now_ns))
-            self._drain(state)
+            metrics.submitted += 1
+            node.admit(index, Submission(tenant, op, self.loop.now_ns))
 
         return submit
 
-    def _drain(self, state: _TenantState) -> None:
-        """Move backlog ops into the NVMe ring as QoS permits."""
-        queue = self.mq.queue(state.spec.name)
-        while state.backlog:
-            if queue.full:
-                if state.spec.qos.full_policy == SHED:
-                    op, _ = state.backlog.popleft()
-                    self._shed(state, op)
-                    continue
-                break  # block: re-drained when a ring slot frees
-            if state.bucket is not None:
-                ready_ns = state.bucket.take(self.loop.now_ns)
-                if ready_ns is not None:
-                    if state.drain_event is None:
-                        state.metrics.rate_delayed += 1
-                        state.drain_event = self.loop.schedule_at(
-                            ready_ns, lambda: self._drain_retry(state)
-                        )
-                    break
-            op, submit_ns = state.backlog.popleft()
-            queue.push((op, submit_ns))
-            state.metrics.admitted += 1
-        self._pump()
-
-    def _drain_retry(self, state: _TenantState) -> None:
-        state.drain_event = None
-        self._drain(state)
-
-    def _shed(self, state: _TenantState, op: Op) -> None:
+    def _shed(self, entry: Submission) -> None:
         """Reject one op (queue full, shed policy) with a typed error.
 
         The client notification is deferred onto the loop: a closed-loop
@@ -408,52 +502,48 @@ class StorageServer(ServerCore):
         and doing that synchronously would recurse drain->shed->submit
         unboundedly when the ring stays full.
         """
-        state.metrics.shed += 1
-        rejection = AdmissionRejected(state.spec.name, "submission queue full")
-        client = state.client
+        rejection = AdmissionRejected(entry.tenant.spec.name, "submission queue full")
+        client = entry.tenant.client
+        op = entry.op
         self.loop.schedule(0.0, lambda: client.on_rejected(op, rejection))
 
-    # --- dispatch path -------------------------------------------------
-    def _dispatch(self, state: _TenantState, entry: tuple[Op, float]) -> None:
-        """Execute the op and replay its recorded demand on the stages."""
-        op, submit_ns = entry
-        metrics = state.metrics
+    def _dispatch(self, entry: Submission) -> None:
+        metrics = entry.tenant.metrics
         if self.racecheck is not None:
             self.racecheck.access(metrics.queue_delay, "write", "record")
-        metrics.queue_delay.record(self.loop.now_ns - submit_ns)
-        demand = self._execute(state, op)
+        metrics.queue_delay.record(self.loop.now_ns - entry.submit_ns)
+        op = entry.op
         if isinstance(op, ReadOp):
             metrics.reads += 1
             metrics.demanded_bytes += op.size
         else:
             metrics.writes += 1
-        self.stages.submit(demand, lambda end_ns: self._complete(state, op, submit_ns, end_ns))
 
-    def _complete(self, state: _TenantState, op: Op, submit_ns: float, end_ns: float) -> None:
-        metrics = state.metrics
+    def _complete(self, entry: Submission, end_ns: float) -> None:
+        tenant = entry.tenant
+        metrics = tenant.metrics
         metrics.completed += 1
         if self.racecheck is not None:
             self.racecheck.access(metrics.latency, "write", "record")
-        metrics.latency.record(end_ns - submit_ns)
-        state.client.on_done(op, completed=True)
-        self._release()
+        metrics.latency.record(end_ns - entry.submit_ns)
+        tenant.client.on_done(entry.op, completed=True)
 
     # --- run -----------------------------------------------------------
     def run(self) -> ServeResult:
         """Start every client, drain the loop, snapshot the metrics."""
-        for state in self._tenants:
-            state.client.start()
+        for tenant in self._tenants:
+            tenant.client.start()
         elapsed_ns = self.loop.run(self.config.max_time_ns)
         return ServeResult(
             system=self.config.system,
             backend=self.system.config.backend,
             arbitration=self.config.arbitration,
             elapsed_ns=elapsed_ns,
-            max_inflight_observed=self.max_inflight_observed,
+            max_inflight_observed=self.node.max_inflight_observed,
             events_processed=self.loop.processed,
             tenants={
-                state.spec.name: state.metrics.snapshot(elapsed_ns)
-                for state in self._tenants
+                tenant.spec.name: tenant.metrics.snapshot(elapsed_ns)
+                for tenant in self._tenants
             },
         )
 
@@ -475,9 +565,11 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "ServeConfig",
-    "ServerCore",
-    "ServerTenant",
+    "StorageNode",
     "StorageServer",
+    "Submission",
+    "Tenant",
     "TenantSpec",
     "serve",
+    "validate_tenants",
 ]

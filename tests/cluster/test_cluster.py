@@ -97,6 +97,18 @@ def test_config_validation():
         _config(backend_overrides=(("s9", "cxl_lmb"),))
 
 
+@pytest.mark.parametrize(
+    "qos",
+    [TenantQoS(rate_limit_qps=10_000.0), TenantQoS(queue_depth=4, full_policy="shed")],
+    ids=["rate-limit", "shed"],
+)
+def test_config_rejects_single_server_admission_features(qos):
+    alpha, beta = _tenants()
+    limited = TenantSpec("alpha", alpha.trace, qos=qos, mode="open", rate_qps=RATE_QPS)
+    with pytest.raises(ValueError, match="single-server admission"):
+        _config(tenants=(limited, beta))
+
+
 def test_all_requests_complete(sim_config):
     result = run_cluster(_config(), sim_config)
     overall = result.overall

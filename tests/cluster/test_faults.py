@@ -65,16 +65,13 @@ def test_seeded_schedule_validation():
 
 
 class _StubNode:
-    """Records begin/end transitions like a ClusterNode would."""
+    """Records the fault state the injector sets, like a StorageNode."""
 
     def __init__(self):
         self.transitions = []
 
-    def begin_fault(self, spec):
-        self.transitions.append(("begin", spec))
-
-    def end_fault(self, spec):
-        self.transitions.append(("end", spec))
+    def set_faults(self, *, stalled, nand_factors, pcie_factor):
+        self.transitions.append((stalled, nand_factors, pcie_factor))
 
 
 def test_injector_fires_begin_and_end_in_order():
@@ -87,11 +84,12 @@ def test_injector_fires_begin_and_end_in_order():
     injector = FaultInjector(specs)
     injector.arm(loop, {"s0": node})
     loop.run()
-    assert [(edge, spec.kind) for edge, spec in node.transitions] == [
-        ("begin", SERVER_STALL),
-        ("begin", LINK_DEGRADE),
-        ("end", SERVER_STALL),
-        ("end", LINK_DEGRADE),
+    # Stall begins, link degrades, stall ends, link recovers.
+    assert node.transitions == [
+        (True, {}, 1.0),
+        (True, {}, 2.0),
+        (False, {}, 2.0),
+        (False, {}, 1.0),
     ]
     times = [entry["time_ns"] for entry in injector.timeline_dict()]
     assert times == [100.0, 120.0, 150.0, 220.0]

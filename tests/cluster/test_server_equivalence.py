@@ -1,28 +1,19 @@
 """Differential test: a one-server cluster against the single server.
 
 A cluster of one node, replication 1 and the ``primary`` policy routes
-every request to that node, and the node runs on the same
-:class:`~repro.serve.server.ServerCore` and
-:class:`~repro.sim.queueing.StagePipeline` as
-:class:`~repro.serve.server.StorageServer`.  With default QoS (no token
-bucket, block on a full ring) the two must therefore serve open-loop
-tenants identically: same completions, same latency distribution, same
-number of events.
+every request to that node, and the node is the same
+:class:`~repro.serve.server.StorageNode` a
+:class:`~repro.serve.server.StorageServer` runs.  The router's settler
+runs before the node's pump in every settle pass and admits each
+tenant's requests in submission order, so the node's rings hold what
+the server's rings hold when the pump fetches.  With default QoS (no
+token bucket, block on a full ring) the two therefore serve any tenant
+set identically, open- and closed-loop, with and without think time:
+same completions, same latency distribution, same number of events.
 
-Closed-loop tenants are *not* pinned, because the two differ today in
-two ways that change when a completion's follow-up op is fetched:
-
-1. the router's settler is registered after the node's pump, so the
-   follow-up op a closed-loop client submits from a completion is
-   routed only after that settle pass's fetch, one pass later than the
-   server, which pushes it into the ring during the wave;
-2. the router orders one tenant's same-wave submissions by content
-   (offset, size), not by submission order, so two follow-ups of one
-   tenant can enter the ring in the opposite order.
-
-Aligning both (router settler before the pump, submission-order keys)
-makes closed-loop runs identical too; that is a change to cluster
-semantics and is out of scope here.
+The same closed-loop tenants with think time also pin tie-break
+independence: same-instant think events used to submit their own
+drawn op, so the tenant's submission order followed the tie-break.
 """
 
 from __future__ import annotations
@@ -31,31 +22,63 @@ import pytest
 
 from repro.cluster import ClusterConfig, run_cluster
 from repro.config import MIB
+from repro.serve.qos import TenantQoS
 from repro.serve.server import ServeConfig, TenantSpec, serve
+from repro.sim.racecheck import perturbed
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 from repro.workloads.ycsb import YcsbConfig, ycsb_trace
+from tests.conftest import small_sim_config
 
 OPS = 300
 PINNED = ("completed", "p50_ns", "p99_ns", "p999_ns", "max_ns", "mean_latency_ns")
 
 
-def _tenants() -> tuple[TenantSpec, ...]:
+def _traces():
     reads = synthetic_trace(SyntheticConfig(requests=OPS, file_size=1 * MIB, seed=40))
     updates = ycsb_trace(YcsbConfig(workload="A", records=1_024, operations=OPS, seed=41))
+    return reads, updates
+
+
+def _open_tenants() -> tuple[TenantSpec, ...]:
+    reads, updates = _traces()
     return (
         TenantSpec("reads", reads, mode="open", rate_qps=30_000.0, max_ops=OPS),
         TenantSpec("updates", updates, mode="open", rate_qps=15_000.0, max_ops=OPS),
     )
 
 
-@pytest.mark.parametrize("arbitration", ["wrr", "rr"])
-def test_one_node_cluster_matches_server_for_open_loop_tenants(sim_config, arbitration):
-    tenants = _tenants()
-    server = serve(
-        ServeConfig(tenants=tenants, arbitration=arbitration, max_inflight=4, seed=9),
-        sim_config,
+def _closed_tenants(think_ns: float) -> tuple[TenantSpec, ...]:
+    reads, updates = _traces()
+    return (
+        TenantSpec(
+            "reads",
+            reads,
+            qos=TenantQoS(weight=3),
+            concurrency=8,
+            think_ns=think_ns,
+            max_ops=OPS,
+        ),
+        TenantSpec(
+            "updates",
+            updates,
+            qos=TenantQoS(weight=1),
+            concurrency=4,
+            think_ns=think_ns,
+            max_ops=OPS,
+        ),
     )
-    cluster = run_cluster(
+
+
+def _serve(tenants, arbitration: str, tiebreak_seed: int | None = None):
+    return serve(
+        ServeConfig(tenants=tenants, arbitration=arbitration, max_inflight=4, seed=9),
+        small_sim_config(),
+        tiebreak_seed=tiebreak_seed,
+    )
+
+
+def _one_node_cluster(tenants, arbitration: str, tiebreak_seed: int | None = None):
+    return run_cluster(
         ClusterConfig(
             tenants=tenants,
             servers=1,
@@ -65,11 +88,35 @@ def test_one_node_cluster_matches_server_for_open_loop_tenants(sim_config, arbit
             max_inflight_per_server=4,
             seed=9,
         ),
-        sim_config,
+        small_sim_config(),
+        tiebreak_seed=tiebreak_seed,
     )
+
+
+def _assert_equivalent(tenants, arbitration: str) -> None:
+    server = _serve(tenants, arbitration)
+    cluster = _one_node_cluster(tenants, arbitration)
     assert cluster.events_processed == server.events_processed
     for spec in tenants:
         expected = server.tenant(spec.name)
         got = cluster.tenants[spec.name]
         assert expected["completed"] == OPS
         assert {key: got[key] for key in PINNED} == {key: expected[key] for key in PINNED}
+
+
+@pytest.mark.parametrize("arbitration", ["wrr", "rr"])
+def test_one_node_cluster_matches_server_for_open_loop_tenants(arbitration):
+    _assert_equivalent(_open_tenants(), arbitration)
+
+
+@pytest.mark.parametrize("think_ns", [0.0, 5_000.0])
+@pytest.mark.parametrize("arbitration", ["wrr", "rr"])
+def test_one_node_cluster_matches_server_for_closed_loop_tenants(arbitration, think_ns):
+    _assert_equivalent(_closed_tenants(think_ns), arbitration)
+
+
+@pytest.mark.parametrize("front_end", [_serve, _one_node_cluster], ids=["serve", "cluster"])
+def test_closed_loop_think_time_is_tiebreak_independent(front_end):
+    tenants = _closed_tenants(5_000.0)
+    report = perturbed(lambda seed: front_end(tenants, "wrr", seed), tuple(range(1, 9)))
+    assert report.identical, report.render()

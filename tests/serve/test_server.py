@@ -174,7 +174,7 @@ def test_shed_policy_rejects_with_typed_error():
         max_inflight=2,
     )
     server = StorageServer(config)
-    state = server._by_name["bursty"]
+    (state,) = server._tenants
     rejections = []
     original = state.client.on_rejected
     state.client.on_rejected = lambda op, rej: (rejections.append(rej), original(op, rej))
