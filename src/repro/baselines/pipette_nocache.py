@@ -10,8 +10,6 @@ of the fine-grained read cache in the paper's figures.
 
 from __future__ import annotations
 
-import math
-
 from repro.baselines._direct_write import direct_write
 from repro.config import SimConfig
 from repro.kernel.vfs import OpenFile
@@ -51,9 +49,7 @@ class PipetteNoCacheSystem(StorageSystem):
             if self.config.transfer_data:
                 joined = b"".join(page or b"" for page in staged)
                 chunks.append(joined[piece.offset_in_page : piece.offset_in_page + piece.length])
-        if nand_ns_each:
-            rounds = math.ceil(len(nand_ns_each) / self.config.ssd.channels)
-            tracer.serial_nand("nand_array", rounds * max(nand_ns_each))
+        device.controller.record_array_phase(nand_ns_each)
 
         device.link.dma_to_host(tracer, size)
         tracer.host("completion", timing.completion_ns)

@@ -19,8 +19,6 @@ cross the link (I/O traffic = requested bytes exactly — Tables 2/3).
 
 from __future__ import annotations
 
-import math
-
 from repro.baselines._direct_write import direct_write
 from repro.config import SimConfig
 from repro.kernel.vfs import OpenFile
@@ -58,9 +56,7 @@ class _TwoBSSDBase(StorageSystem):
             if self.config.transfer_data:
                 joined = b"".join(page or b"" for page in staged)
                 chunks.append(joined[piece.offset_in_page : piece.offset_in_page + piece.length])
-        if nand_ns_each:
-            rounds = math.ceil(len(nand_ns_each) / self.config.ssd.channels)
-            tracer.serial_nand("nand_array", rounds * max(nand_ns_each))
+        device.controller.record_array_phase(nand_ns_each)
 
         self._host_pull(size)
         tracer.host("completion", timing.completion_ns)

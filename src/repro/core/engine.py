@@ -17,7 +17,6 @@ traffic savings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.config import SimConfig
@@ -35,13 +34,6 @@ class EngineResult:
     nand_ns_each: list[float]
     transfer_ns: float
     bytes_moved: int
-
-    def qd1_nand_ns(self, channels: int) -> float:
-        """Array phase latency with cross-channel overlap."""
-        if not self.nand_ns_each:
-            return 0.0
-        rounds = math.ceil(len(self.nand_ns_each) / channels)
-        return rounds * max(self.nand_ns_each)
 
 
 class FineGrainedReadEngine:
@@ -125,15 +117,11 @@ class FineGrainedReadEngine:
             bytes_moved += fine_range.length
             self.ranges_served += 1
 
+        self.controller.record_array_phase(nand_ns_each)
+        self.commands_handled += 1
         result = EngineResult(
             nand_ns_each=nand_ns_each, transfer_ns=transfer_ns, bytes_moved=bytes_moved
         )
-        # Derived serial array phase on top of the per-page channel
-        # charges ``sense_page`` recorded during Phase 1.
-        array_ns = result.qd1_nand_ns(self.config.ssd.channels)
-        if array_ns:
-            tracer.serial_nand("nand_array", array_ns)
-        self.commands_handled += 1
         return NvmeCompletion(cid=command.cid, result=result)
 
 

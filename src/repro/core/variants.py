@@ -12,8 +12,6 @@ against ``pipette`` isolates the value of the persistent HMB mapping.
 
 from __future__ import annotations
 
-import math
-
 from repro.system import register_system
 
 from repro.core.framework import PipetteSystem
@@ -72,9 +70,7 @@ class PipetteCmbSystem(PipetteSystem):
             handle = placement.pop_destination(request_dest)
             placement.record_read(handle, request_size, pages=tuple(request_ppns))
             total_bytes += request_size
-        if nand_ns_each:
-            rounds = math.ceil(len(nand_ns_each) / self.config.ssd.channels)
-            tracer.serial_nand("nand_array", rounds * max(nand_ns_each))
+        device.controller.record_array_phase(nand_ns_each)
 
         # Host side: per-access DMA mapping (the cost HMB avoids), pull
         # the demanded bytes over the link, land them in the cache.

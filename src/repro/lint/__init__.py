@@ -4,9 +4,9 @@ The reproduction's central claim — results are a deterministic function
 of config + seed on a virtual clock — is a *discipline*, not a language
 feature.  This package makes the discipline machine-checked:
 
-- :mod:`repro.lint.rules` hold the ten domain rules: seven
+- :mod:`repro.lint.rules` hold the nine domain rules: six
   discipline rules (``virtual-time-purity``, ``seeded-rng-only``,
-  ``stage-charging``, ``deterministic-iteration``,
+  ``deterministic-iteration``,
   ``shared-state-mutation``, ``float-time-equality``,
   ``unit-suffix-consistency``) and three dimensional rules
   (``dimension-mismatch``, ``rate-derivation``,
@@ -25,8 +25,8 @@ independence is checked dynamically: the happens-before race detector
 (:mod:`repro.sim.racecheck`, ``REPRO_RACECHECK=1``) plus seeded
 tie-break perturbation, and :class:`repro.serve.engine.FifoResource`
 rejects an unkeyed acquire while the loop runs.  The sanitizer
-(:mod:`repro.sim.sanitize`, ``REPRO_SANITIZE=1``) asserts per-request
-trace invariants, and the device-backend base classes check their
+(:mod:`repro.sim.sanitize`, ``REPRO_SANITIZE=1``) turns a lost event-loop
+wakeup into an error, and the device-backend base classes check their
 subclasses' surface at class creation.  See ``docs/LINTING.md``.
 """
 

@@ -1,23 +1,19 @@
 """Flow-aware symbol analysis shared by the simlint rules.
 
-The first-generation rules matched literal attribute chains
-(``resources.host(...)``), so rebinding the ledger to a local or
-handing the clock through a helper function hid the violation.  This
-module gives every rule a per-module view of *what each expression
-refers to*:
+Literal attribute chains miss a ledger rebound to a local or an RNG
+module handed through a helper function.  This module gives every rule
+a per-module view of *what each expression refers to*:
 
-- **kinds** — an expression may denote the virtual clock, the resource
-  ledger, or the global ``random`` / ``numpy.random`` modules.  Kinds
-  are seeded from imports, well-known constructor calls
-  (``VirtualClock(...)``, ``ResourceModel(...)``) and the established
+- **kinds** — an expression may denote the resource ledger or the
+  global ``random`` / ``numpy.random`` modules.  Kinds are seeded from
+  imports, the ``ResourceModel(...)`` constructor and the established
   naming conventions, then propagated through assignments, tuple
   unpacking, ``self`` attributes and function return values.
 - **function summaries** — for every function the analysis records
-  which parameters are *sinks*: charged like a ledger, advanced like a
-  clock, or drawn from like an RNG, including transitively through
-  module-local helpers.  Rules flag the **call site** that feeds a
-  clock/ledger/RNG into such a sink, so the finding lands on the code
-  that owns the object.
+  which parameters are *sinks*: drawn from like an RNG, including
+  transitively through module-local helpers.  Rules flag the **call
+  site** that feeds the global RNG module into such a sink, so the
+  finding lands on the code that owns the object.
 - **package index** — the engine's directory runs share one
   ``module name -> summaries`` map so ``from pkg.helpers import f``
   call sites resolve across files (one hop; summaries themselves stay
@@ -37,30 +33,20 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 # --- kinds an expression can denote -----------------------------------
-CLOCK = "clock"
 LEDGER = "ledger"
 RANDOM_MODULE = "random-module"
 NUMPY_MODULE = "numpy-module"
 NUMPY_RANDOM_MODULE = "numpy-random-module"
 
-#: Conventional names that identify a virtual clock / the ledger even
-#: without visible construction (mirrors the first-generation rules).
-CLOCK_NAMES = frozenset({"clock", "vclock", "virtual_clock"})
+#: Conventional names that identify the ledger even without visible
+#: construction.
 LEDGER_NAMES = frozenset({"resources", "ledger", "resource_model"})
 
 #: Constructor call names whose result has a known kind.
-CONSTRUCTOR_KINDS = {"VirtualClock": CLOCK, "ResourceModel": LEDGER}
+CONSTRUCTOR_KINDS = {"ResourceModel": LEDGER}
 
 # --- parameter sinks recorded in function summaries -------------------
-SINK_CHARGE = "charge"
-SINK_ADVANCE = "advance"
 SINK_RNG_DRAW = "rng-draw"
-
-#: ResourceModel charging methods (the ledger's accumulators).
-CHARGE_METHODS = frozenset({"host", "pcie", "channel", "any_channel"})
-
-#: Methods that advance a virtual clock.
-ADVANCE_METHODS = frozenset({"advance"})
 
 #: Drawing methods shared by ``random.Random`` instances and the global
 #: ``random`` module — calling one through a parameter makes that
@@ -100,7 +86,7 @@ class FunctionSummary:
 
     name: str
     params: tuple[str, ...]
-    #: parameter name -> sink tags (``SINK_CHARGE``, ...).
+    #: parameter name -> sink tags (``SINK_RNG_DRAW``).
     sinks: dict[str, set[str]] = field(default_factory=dict)
     #: kinds the function may return (intra-module only).
     return_kinds: set[str] = field(default_factory=set)
@@ -414,13 +400,8 @@ class FlowAnalysis:
             for kind in receiver:
                 if not kind.startswith(_PARAM_PREFIX):
                     continue
-                param = kind[len(_PARAM_PREFIX) :]
-                if func.attr in CHARGE_METHODS:
-                    summary.add_sink(param, SINK_CHARGE)
-                elif func.attr in ADVANCE_METHODS:
-                    summary.add_sink(param, SINK_ADVANCE)
-                elif func.attr in RNG_DRAW_METHODS:
-                    summary.add_sink(param, SINK_RNG_DRAW)
+                if func.attr in RNG_DRAW_METHODS:
+                    summary.add_sink(kind[len(_PARAM_PREFIX) :], SINK_RNG_DRAW)
         # Transitive sink: the parameter is handed to a module-local
         # helper that sinks it.
         resolved = self.callee_summary(call)
@@ -447,9 +428,7 @@ class FlowAnalysis:
             imported = self._import_kinds.get(node.id)
             if imported is not None:
                 kinds.add(imported)
-            if node.id in CLOCK_NAMES:
-                kinds.add(CLOCK)
-            elif node.id in LEDGER_NAMES:
+            if node.id in LEDGER_NAMES:
                 kinds.add(LEDGER)
             return frozenset(kinds)
         if isinstance(node, ast.Attribute):
@@ -459,9 +438,7 @@ class FlowAnalysis:
                 kinds.add(NUMPY_RANDOM_MODULE)
             if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
                 kinds |= self._self_attrs.get(node.attr, set())
-            if node.attr in CLOCK_NAMES:
-                kinds.add(CLOCK)
-            elif node.attr in LEDGER_NAMES:
+            if node.attr in LEDGER_NAMES:
                 kinds.add(LEDGER)
             return frozenset(kinds)
         if isinstance(node, ast.Call):
@@ -496,10 +473,6 @@ def _target_names(target: ast.expr) -> list[str]:
 
 
 __all__ = [
-    "ADVANCE_METHODS",
-    "CHARGE_METHODS",
-    "CLOCK",
-    "CLOCK_NAMES",
     "CONSTRUCTOR_KINDS",
     "FlowAnalysis",
     "FunctionSummary",
@@ -509,8 +482,6 @@ __all__ = [
     "NUMPY_RANDOM_MODULE",
     "RANDOM_MODULE",
     "RNG_DRAW_METHODS",
-    "SINK_ADVANCE",
-    "SINK_CHARGE",
     "SINK_RNG_DRAW",
     "map_call_args",
 ]

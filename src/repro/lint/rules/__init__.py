@@ -10,7 +10,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     determinism,
     dimension,
     rng,
-    stage_charging,
     units,
     virtual_time,
 )

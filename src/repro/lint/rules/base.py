@@ -85,25 +85,11 @@ def module_aliases(tree: ast.Module, *modules: str) -> set[str]:
     return aliases
 
 
-def imports_module(tree: ast.Module, module: str) -> bool:
-    """Whether the module imports ``module`` (either import form)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = (item.name for item in node.names)
-            if any(name == module or name.startswith(module + ".") for name in names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and (node.module == module or node.module.startswith(module + ".")):
-                return True
-    return False
-
-
 __all__ = [
     "RULES",
     "Rule",
     "SIM_PACKAGES",
     "attr_chain",
-    "imports_module",
     "module_aliases",
     "register",
 ]

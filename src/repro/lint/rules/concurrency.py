@@ -9,8 +9,9 @@ statically; the runtime side is :mod:`repro.sim.racecheck`.
 - ``shared-state-mutation`` — engine/ring/bucket state (``now_ns``,
   ``tokens``, FIFO internals...) is only mutated by its owning class
   (``self.<attr>``) inside the resource/engine choke modules; any
-  other module poking those attributes — or assigning attributes on a
-  clock/ledger object — bypasses the invariants those classes maintain.
+  other module poking those attributes — or assigning attributes on
+  the resource ledger, whose one writer is ``Tracer._fold`` in
+  ``sim/trace.py`` — bypasses the invariants those classes maintain.
 - ``float-time-equality`` — ``==`` / ``!=`` on virtual-time floats
   (``*_ns``/``*_us``/``*_ms``): timestamps are accumulated floats, so
   exact equality is schedule-dependent; order with ``<=`` or compare
@@ -46,8 +47,6 @@ MUTATION_EXEMPT_SUFFIXES = (
     "repro/serve/engine.py",
     "repro/serve/qos.py",
     "repro/serve/nvme_mq.py",
-    "repro/sim/clock.py",
-    "repro/sim/resources.py",
     "repro/sim/trace.py",
     "repro/sim/stats.py",
 )
@@ -117,15 +116,14 @@ class SharedStateMutation(Rule):
                             "maintains its invariants",
                         )
                     )
-                elif receiver_kinds & {flow.CLOCK, flow.LEDGER}:
-                    what = "clock" if flow.CLOCK in receiver_kinds else "ledger"
+                elif flow.LEDGER in receiver_kinds:
                     findings.append(
                         self.finding(
                             ctx,
                             node,
-                            f"assignment to `{_describe(target)}` rewrites {what} "
-                            "state behind the Tracer's back; go through the "
-                            "recording API instead",
+                            f"assignment to `{_describe(target)}` rewrites ledger "
+                            "state behind the Tracer's back; record a Stage "
+                            "through the Tracer instead",
                         )
                     )
         return findings

@@ -14,9 +14,9 @@ attributes, helper returns, and the cross-module call graph:
   declares a different unit: ``bw_bytes_per_ns = dur_ns / n_bytes`` is
   the classic bytes/ns-vs-ns/byte inversion;
 - ``suffixless-cost-literal`` — a bare numeric literal flowing into a
-  stage-charging or backend cost sink (``tracer.host("x", 1500)``,
-  ``clock.advance(250)``); magic costs dodge both the suffix
-  convention and the TimingModel, so nothing can check them.
+  Tracer recording call or backend cost sink (``tracer.host("x",
+  1500)``); magic costs dodge both the suffix convention and the
+  TimingModel, so nothing can check them.
 
 Judgements come from :class:`repro.lint.units.UnitAnalysis` — shared
 per module via ``ctx.units``, with one walk feeding all three rules.
@@ -73,8 +73,8 @@ class RateDerivation(_UnitEventRule):
 class SuffixlessCostLiteral(_UnitEventRule):
     id = "suffixless-cost-literal"
     description = (
-        "bare numeric literal flowing into a stage-charging or backend "
-        "cost sink; name the constant (with a unit suffix) or take it "
+        "bare numeric literal flowing into a Tracer recording call or "
+        "backend cost sink; name the constant (with a unit suffix) or take it "
         "from TimingModel"
     )
     packages = SIM_PACKAGES

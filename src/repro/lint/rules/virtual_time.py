@@ -1,8 +1,8 @@
 """virtual-time-purity: no wall-clock reads inside the simulator.
 
 Every duration in the reproduction comes from
-:class:`repro.config.TimingModel` and accumulates on the
-:class:`repro.sim.clock.VirtualClock`; a single ``time.time()`` call on
+:class:`repro.config.TimingModel` and accumulates on virtual time
+(recorded stages, the event loop's ``now_ns``); a single ``time.time()`` call on
 a costed path makes results depend on interpreter speed and breaks the
 "config + seed fully determine the output" claim (DESIGN.md §2).  The
 rule is enforced across the whole ``repro`` tree — legitimate wall-clock
@@ -45,7 +45,7 @@ class VirtualTimePurity(Rule):
     description = (
         "wall-clock reads (time.time, time.monotonic, datetime.now, "
         "time.sleep, ...) break virtual-time determinism; use the "
-        "VirtualClock / TimingModel instead"
+        "TimingModel and the event loop's virtual time instead"
     )
     packages = None  # enforced everywhere under repro
 
@@ -84,7 +84,7 @@ class VirtualTimePurity(Rule):
                         ctx,
                         node,
                         f"wall-clock call `{'.'.join(chain)}()`; simulated time "
-                        "must come from VirtualClock / TimingModel",
+                        "must come from TimingModel / the event loop",
                     )
                 )
             elif leaf in BANNED_DATETIME_FUNCS and (
@@ -96,7 +96,7 @@ class VirtualTimePurity(Rule):
                         ctx,
                         node,
                         f"wall-clock call `{'.'.join(chain)}()`; simulated time "
-                        "must come from VirtualClock / TimingModel",
+                        "must come from TimingModel / the event loop",
                     )
                 )
         return findings

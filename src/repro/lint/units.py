@@ -39,8 +39,7 @@ Inference sources, in priority order:
 2. **suffix conventions** — the trailing identifier token (``_ns``,
    ``_bytes``, ``_bpns``, ``_pages``, ``_ratio``...) and composite
    ``<u>_per_<u>`` names (``bw_bytes_per_ns``);
-3. **known sim APIs** — :class:`VirtualClock` (``now_ns``,
-   ``advance(delta_ns)``), :class:`Stage` (``.ns``),
+3. **known sim APIs** — :class:`Stage` (``.ns``),
    :class:`TimingModel` (every ``*_ns`` method/attribute self-describes;
    ``nand_read``/``nand_program`` are in the table),
    :class:`LatencyHistogram`/``Tracer`` recording methods, and the
@@ -217,14 +216,11 @@ class UnitSummary:
 
 #: Cost-sink methods: (method name, resolver) pairs.  The resolver maps
 #: a call to the argument index carrying a duration, or ``None`` when
-#: the call shape does not match the sink (both ``Tracer.host(name,
-#: ns)`` and ``ResourceModel.host(ns)`` exist; the shapes differ).
-def _tracer_or_ledger_ns_arg(call: ast.Call) -> int | None:
+#: the call shape does not match the Tracer recording method.
+def _labelled_ns_arg(call: ast.Call) -> int | None:
     args = call.args
     if len(args) >= 2 and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str):
         return 1  # Tracer.host("name", ns)
-    if len(args) == 1:
-        return 0  # ResourceModel.host(ns)
     return None
 
 
@@ -232,8 +228,6 @@ def _channel_ns_arg(call: ast.Call) -> int | None:
     args = call.args
     if len(args) >= 3 and isinstance(args[1], ast.Constant) and isinstance(args[1].value, str):
         return 2  # Tracer.channel(index, "name", ns)
-    if len(args) == 2:
-        return 1  # ResourceModel.channel(index, ns)
     return None
 
 
@@ -241,18 +235,12 @@ def _second_arg(call: ast.Call) -> int | None:
     return 1 if len(call.args) >= 2 else None
 
 
-def _first_arg(call: ast.Call) -> int | None:
-    return 0 if len(call.args) >= 1 else None
-
-
 #: method name -> resolver yielding the ns-valued argument position.
 COST_SINK_METHODS = {
-    "host": _tracer_or_ledger_ns_arg,
-    "pcie": _tracer_or_ledger_ns_arg,
-    "any_channel": _first_arg,
+    "host": _labelled_ns_arg,
+    "pcie": _labelled_ns_arg,
     "channel": _channel_ns_arg,
     "serial_nand": _second_arg,  # Tracer.serial_nand(name, ns)
-    "advance": _first_arg,  # VirtualClock.advance(delta_ns)
 }
 
 #: Literals that are dimension-safe in a cost expression: zero cost and

@@ -39,9 +39,8 @@ Determinism contract
   which draw from seeded generators in event-callback order — itself
   deterministic.  The tie-break RNG only permutes same-timestamp
   ordering and is itself seeded.
-- ``schedule`` rejects non-finite and negative delays for the same
-  reason :class:`repro.sim.clock.VirtualClock` does: one NaN poisons
-  every later timestamp.
+- ``schedule`` rejects non-finite and negative delays: one NaN
+  poisons every later timestamp.
 - With a :class:`~repro.sim.racecheck.RaceChecker` attached, every
   event carries its scheduling ancestry and registered shared objects
   verify that simultaneous accesses commute or are causally ordered.

@@ -1,6 +1,5 @@
-"""Virtual-time simulation primitives: clock, resources, traces, stats."""
+"""Virtual-time simulation primitives: resources, traces, stats."""
 
-from repro.sim.clock import VirtualClock
 from repro.sim.latency import LatencyRecorder, LatencyStats
 from repro.sim.resources import ResourceModel
 from repro.sim.sanitize import SanitizeError, SimSanitizer
@@ -19,5 +18,4 @@ __all__ = [
     "StageTrace",
     "TrafficMeter",
     "Tracer",
-    "VirtualClock",
 ]

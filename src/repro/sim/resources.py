@@ -9,12 +9,11 @@ the *sum* of the serial components of one request.
 
 :class:`ResourceModel` is the ledger of the throughput view: the
 ``busy_*`` accumulators feed :meth:`bottleneck_time_ns`, the pipelined
-completion time.  Since the stage-trace refactor, layers do not charge
-the ledger directly — they record :class:`repro.sim.trace.Stage`
-entries, and the :class:`repro.sim.trace.Tracer` folds every charged
-stage into this ledger at one choke point, so busy totals are a
-derived view of the per-request traces (the QD-1 latency view is
-another: see :meth:`repro.sim.trace.StageTrace.latency_ns`).
+completion time.  The ledger has no charge methods: layers record
+:class:`repro.sim.trace.Stage` entries, and ``Tracer._fold`` is the one
+writer of the busy totals, so they are a derived view of the
+per-request traces (the QD-1 latency view is another: see
+:meth:`repro.sim.trace.StageTrace.latency_ns`).
 """
 
 from __future__ import annotations
@@ -42,36 +41,6 @@ class ResourceModel:
             self.channel_busy_ns = [0.0] * self.channels
         elif len(self.channel_busy_ns) != self.channels:
             raise ValueError("channel_busy_ns length does not match channels")
-
-    # --- accumulation -------------------------------------------------
-    def host(self, ns: float) -> float:
-        """Charge host CPU time; returns the charged amount."""
-        self.host_busy_ns += ns
-        return ns
-
-    def pcie(self, ns: float) -> float:
-        """Charge PCIe link time; returns the charged amount."""
-        self.pcie_busy_ns += ns
-        return ns
-
-    def channel(self, channel_index: int, ns: float) -> float:
-        """Charge NAND time on a specific flash channel.
-
-        The index must be in ``[0, channels)``; silently wrapping
-        out-of-range indices used to hide attribution bugs.
-        """
-        if not 0 <= channel_index < self.channels:
-            raise ValueError(
-                f"channel index {channel_index} out of range [0, {self.channels})"
-            )
-        self.channel_busy_ns[channel_index] += ns
-        return ns
-
-    def any_channel(self, ns: float) -> float:
-        """Charge NAND time on the least-loaded channel (striped work)."""
-        index = min(range(self.channels), key=self.channel_busy_ns.__getitem__)
-        self.channel_busy_ns[index] += ns
-        return ns
 
     # --- derived views ------------------------------------------------
     @property
@@ -101,24 +70,6 @@ class ResourceModel:
             "nand": self.nand_busy_ns,
         }
         return max(candidates, key=candidates.__getitem__)
-
-    def merged_with(self, other: "ResourceModel") -> "ResourceModel":
-        """Combine two ledgers (used when aggregating phases)."""
-        if other.channels != self.channels:
-            raise ValueError("cannot merge ledgers with different channel counts")
-        merged = ResourceModel(channels=self.channels, host_parallelism=self.host_parallelism)
-        merged.host_busy_ns = self.host_busy_ns + other.host_busy_ns
-        merged.pcie_busy_ns = self.pcie_busy_ns + other.pcie_busy_ns
-        merged.channel_busy_ns = [
-            a + b for a, b in zip(self.channel_busy_ns, other.channel_busy_ns)
-        ]
-        return merged
-
-    def reset(self) -> None:
-        """Zero every accumulator."""
-        self.host_busy_ns = 0.0
-        self.pcie_busy_ns = 0.0
-        self.channel_busy_ns = [0.0] * self.channels
 
 
 __all__ = ["ResourceModel"]

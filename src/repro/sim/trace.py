@@ -10,8 +10,8 @@ views of the one record:
 
 - **ledger charging** — every charged stage is folded into the
   :class:`repro.sim.resources.ResourceModel` at exactly one choke point
-  (:meth:`Tracer.add`), so aggregated stage charges always equal the
-  ledger's busy totals;
+  (``Tracer._fold``, the ledger's only writer), so aggregated stage
+  charges always equal the ledger's busy totals;
 - **QD-1 latency** — :meth:`StageTrace.latency_ns` sums the stages on
   the request's serial critical path; ``StorageSystem.read`` feeds that
   sum to the :class:`repro.sim.latency.LatencyRecorder`;
@@ -209,31 +209,16 @@ class Tracer:
     open span, or the ``ambient`` trace when no request is in flight
     (initialization work, direct device-level use in tests).
 
-    Folding charged stages into the :class:`ResourceModel` happens here
-    and only here, so the ledger is — by construction — a derived view
-    of the recorded stages.
+    ``_fold`` is the only code that adds to the :class:`ResourceModel`
+    busy totals, so the ledger is — by construction — a derived view of
+    the recorded stages.
     """
 
-    def __init__(self, resources: "ResourceModel | None" = None) -> None:
+    def __init__(self, resources: "ResourceModel") -> None:
         self.resources = resources
         #: Catch-all trace for work outside any request.
         self.ambient = StageTrace("ambient")
         self._stack: list[StageTrace] = []
-        #: Mirror of every charge folded through this tracer plus the
-        #: ledger totals at attach time — the runtime sanitizer compares
-        #: them against the ResourceModel at each root-trace boundary to
-        #: prove the ledger is still a derived view of the traces.
-        self._folded_host = 0.0
-        self._folded_pcie = 0.0
-        self._folded_channels: dict[int, float] = {}
-        if resources is not None:
-            self._ledger_base: tuple[float, float, list[float]] = (
-                resources.host_busy_ns,
-                resources.pcie_busy_ns,
-                list(resources.channel_busy_ns),
-            )
-        else:
-            self._ledger_base = (0.0, 0.0, [])
 
     # --- context ------------------------------------------------------
     @property
@@ -249,18 +234,11 @@ class Tracer:
     def end(self) -> StageTrace:
         """Close the innermost open trace/span and return it.
 
-        When sanitizing is active (``REPRO_SANITIZE=1`` or an open
-        :class:`repro.sim.sanitize.SimSanitizer`), closing a *root*
-        trace verifies that the ledger totals equal the folded charges.
-        The stages themselves need no check here: :class:`Stage`
-        rejects a malformed one when it is built.
+        An unbalanced ``end`` raises whether or not the sanitizer is on.
         """
         if not self._stack:
             raise sanitize.SanitizeError("Tracer.end() without a matching begin()")
-        trace = self._stack.pop()
-        if not self._stack and sanitize.active():
-            sanitize.verify_ledger(self)
-        return trace
+        return self._stack.pop()
 
     @contextmanager
     def span(self, name: str, **meta: object):
@@ -276,16 +254,15 @@ class Tracer:
     def detached(self, name: str, **meta: object):
         """Record background work outside the active request.
 
-        The span becomes a child of the *ambient* trace regardless of
-        what is in flight: its charged stages still fold into the
-        ledger, but nothing it records touches the active request's
-        latency or demand (e.g. page-cache eviction write-back that
-        happens to trigger mid-read).
+        The span is a standalone trace that nothing keeps: its charged
+        stages still fold into the ledger, but nothing it records
+        touches the active request's latency or demand (e.g. page-cache
+        eviction write-back that happens to trigger mid-read).
         """
-        child = self.ambient.child(name, **meta)
-        self._stack.append(child)
+        trace = StageTrace(name=name, meta=dict(meta))
+        self._stack.append(trace)
         try:
-            yield child
+            yield trace
         finally:
             self._stack.pop()
 
@@ -302,7 +279,7 @@ class Tracer:
         """Record one stage into the active trace and fold its charge."""
         stage = Stage(resource, name, float(ns), latency, charged)
         self.active.add(stage)
-        if charged and self.resources is not None:
+        if charged:
             self._fold(stage)
         return stage
 
@@ -324,20 +301,20 @@ class Tracer:
 
     def _fold(self, stage: Stage) -> None:
         resources = self.resources
-        assert resources is not None
         if stage.resource == HOST:
-            resources.host(stage.ns)
-            self._folded_host += stage.ns
+            resources.host_busy_ns += stage.ns
             return
         if stage.resource == PCIE:
-            resources.pcie(stage.ns)
-            self._folded_pcie += stage.ns
+            resources.pcie_busy_ns += stage.ns
             return
         index = parse_channel(stage.resource)
         if index is None:
             raise ValueError(f"cannot charge unknown resource {stage.resource!r}")
-        resources.channel(index, stage.ns)
-        self._folded_channels[index] = self._folded_channels.get(index, 0.0) + stage.ns
+        if not 0 <= index < resources.channels:
+            raise ValueError(
+                f"channel index {index} out of range [0, {resources.channels})"
+            )
+        resources.channel_busy_ns[index] += stage.ns
 
 
 __all__ = [

@@ -4,6 +4,8 @@ The controller owns the primitives every read path composes:
 
 - ``sense_page``: translate an LBA, occupy the owning flash channel for
   tR plus the ONFI bus transfer, and land the page in the read buffer;
+- ``record_array_phase``: the serial QD-1 array phase of the pages
+  one command sensed;
 - ``block_page_extra_ns``: the device-side serialization penalty paid
   only by full-page block reads (see DESIGN.md section 5);
 - ``execute``: the NVMe dispatch used by the queue pair.
@@ -14,11 +16,11 @@ a firmware extension and handles ``FINE_GRAINED_READ`` commands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from repro.config import SimConfig
-from repro.sim.resources import ResourceModel
 from repro.sim.trace import Tracer
 from repro.ssd.backends.base import BufferPlacement
 from repro.ssd.ftl import FlashTranslationLayer
@@ -45,10 +47,9 @@ class SSDController:
     config: SimConfig
     nand: FlashArray
     ftl: FlashTranslationLayer
-    resources: ResourceModel
-    #: Shared stage tracer; channel occupancy is recorded here (and
-    #: folded into ``resources``) instead of charged directly.
-    tracer: Tracer | None = None
+    #: Shared stage tracer; channel occupancy is recorded here and
+    #: folded into the device's resource ledger.
+    tracer: Tracer
     #: Backend placement policy; writes are tagged with its handles
     #: (conventional stream unless an FDP-style backend segregates).
     placement: BufferPlacement | None = None
@@ -62,8 +63,6 @@ class SSDController:
     on_sense: Callable[[int], None] | None = None
 
     def __post_init__(self) -> None:
-        if self.tracer is None:
-            self.tracer = Tracer(self.resources)
         if self.placement is None:
             self.placement = BufferPlacement()
 
@@ -101,6 +100,18 @@ class SSDController:
         if self.on_sense is not None:
             self.on_sense(lba)
         return content, nand_ns
+
+    def record_array_phase(self, per_page_ns: list[float]) -> None:
+        """Record the QD-1 array phase of one command's sensed pages.
+
+        Pages on distinct channels overlap, so the phase takes
+        ``ceil(pages/channels)`` serial page times: a derived stage on
+        top of the per-page channel charges ``sense_page`` recorded.
+        No pages, no stage.
+        """
+        if per_page_ns:
+            rounds = math.ceil(len(per_page_ns) / self.config.ssd.channels)
+            self.tracer.serial_nand("nand_array", rounds * max(per_page_ns))
 
     def block_page_extra_ns(self) -> float:
         """Device-side penalty for a full-page block read.

@@ -21,7 +21,6 @@ tests and diagnostics), not inputs anyone needs to sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.config import SimConfig
@@ -106,7 +105,6 @@ class SSDDevice:
             config=config,
             nand=self.nand,
             ftl=self.ftl,
-            resources=self.resources,
             tracer=self.tracer,
             placement=self.placement,
         )
@@ -167,12 +165,7 @@ class SSDDevice:
                     per_page_ns.append(nand_ns_each[index])
 
             if per_page_ns:
-                # QD-1 latency: pages on distinct channels overlap, so the
-                # array phase takes ceil(n/channels) serial page times —
-                # a derived stage on top of the per-page channel charges
-                # the controller already recorded.
-                rounds = math.ceil(len(per_page_ns) / self.config.ssd.channels)
-                self.tracer.serial_nand("nand_array", rounds * max(per_page_ns))
+                self.controller.record_array_phase(per_page_ns)
                 self.link.dma_to_host(self.tracer, page_size * len(per_page_ns))
                 # Interrupt/completion handling extends QD-1 latency but
                 # overlaps other requests' work under pipelining.

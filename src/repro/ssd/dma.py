@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import TimingModel
-from repro.sim.trace import HOST, Stage, Tracer
+from repro.sim.trace import Tracer
 from repro.ssd.pcie import PcieLink
 
 
@@ -41,7 +41,7 @@ class DmaEngine:
         self.mappings_created += 1
         ns = self.link.interconnect.persistent_map_ns()
         if tracer is not None and ns:
-            tracer.active.add(Stage(HOST, "hmb_setup", ns, latency=False, charged=False))
+            tracer.host("hmb_setup", ns, latency=False, charged=False)
         return ns
 
     def pull_per_access(self, tracer: Tracer, nbytes: int) -> None:

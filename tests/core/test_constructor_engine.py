@@ -91,12 +91,16 @@ def test_engine_rejects_mismatched_info_record(rig):
     assert not completion.success
 
 
-def test_engine_qd1_nand_overlap():
-    result = EngineResult(nand_ns_each=[60.0] * 8, transfer_ns=0.0, bytes_moved=0)
-    assert result.qd1_nand_ns(channels=8) == 60.0
-    wider = EngineResult(nand_ns_each=[60.0] * 9, transfer_ns=0.0, bytes_moved=0)
-    assert wider.qd1_nand_ns(channels=8) == 120.0
-    assert EngineResult([], 0.0, 0).qd1_nand_ns(8) == 0.0
+def test_engine_qd1_nand_overlap(rig):
+    config, device, *_ = rig
+    assert config.ssd.channels == 8
+    controller = device.controller
+    controller.record_array_phase([60.0] * 8)
+    controller.record_array_phase([60.0] * 9)
+    controller.record_array_phase([])  # no pages, no stage
+    phases = [stage for stage in device.tracer.ambient.stages if stage.name == "nand_array"]
+    assert [stage.ns for stage in phases] == [60.0, 120.0]
+    assert not any(stage.charged for stage in phases)
 
 
 def test_requester_counts_submissions(rig):

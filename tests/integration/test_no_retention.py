@@ -3,10 +3,14 @@
 A storage system computes each request's queueing demand once, hands
 it to the caller as ``last_demand`` and keeps no per-request record,
 so serving and cluster runs hold memory flat in the op count.  Only
-the harnesses that replay per-read demands collect them.
+the harnesses that replay per-read demands collect them.  Background
+work (page-cache write-back) is recorded in detached spans that
+nothing keeps either.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.cluster import HEDGED, ClusterConfig, FaultSpec
 from repro.cluster.cluster import Cluster
@@ -14,10 +18,14 @@ from repro.cluster.faults import SERVER_STALL
 from repro.config import MIB
 from repro.experiments.runner import run_trace_system
 from repro.experiments.scale import get_scale
+from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
 from repro.serve.server import ServeConfig, StorageServer, TenantSpec
+from repro.system import build_system
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 from repro.workloads.trace import ReadOp
 from repro.workloads.ycsb import YcsbConfig, ycsb_trace
+
+from ..conftest import small_sim_config
 
 
 def _reads(seed: int):
@@ -68,3 +76,26 @@ def test_run_trace_system_collects_one_demand_per_read():
     assert 0 < reads < 120
     assert system.reads == reads == len(system.demands)
     assert system.writes == 120 - reads
+
+
+def _ambient_stages_after(name: str, pairs: int) -> int:
+    """Ambient stage count after ``pairs`` write+read pairs.
+
+    The writes dirty pages across a file larger than the page cache,
+    so evictions write back in detached spans mid-request.
+    """
+    system = build_system(name, small_sim_config())
+    file_bytes = 4 * MIB
+    page = system.fs.page_size
+    system.create_file("/data/churn.bin", file_bytes)
+    fd = system.open("/data/churn.bin", O_RDWR | O_FINE_GRAINED)
+    for index in range(pairs):
+        offset = (index * 7_919 * page) % file_bytes
+        system.write(fd, offset, b"x" * 128)
+        system.read(fd, offset + 256, 64)
+    return sum(1 for _ in system.tracer.ambient.walk())
+
+
+@pytest.mark.parametrize("name", ["block-io", "pipette"])
+def test_ambient_trace_keeps_no_detached_spans(name):
+    assert _ambient_stages_after(name, 500) == _ambient_stages_after(name, 1_000)

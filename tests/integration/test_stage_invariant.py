@@ -4,8 +4,10 @@ One record, several derived views — so for any workload:
 
 1. each read's recorded latency equals its trace's critical-path sum
    (the LatencyRecorder is fed from the trace, so totals must match);
-2. folding the charged stages of *all* traces (finished requests plus
-   the ambient trace) reproduces the ResourceModel busy totals exactly;
+2. folding the charged stages of *all* traces (finished requests,
+   detached background spans and the ambient trace) reproduces the
+   ResourceModel busy totals exactly — for the device systems and for
+   a served multi-tenant run, whether the sanitizer is on or off;
 3. each read and write hands back its trace's queueing demand as
    ``last_demand``, and the system keeps no per-request demand;
 4. the anatomy view sums back to the mean latency.
@@ -13,11 +15,18 @@ One record, several derived views — so for any workload:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
+
 import pytest
 
+from repro.config import KIB, MIB
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
+from repro.serve.server import ServeConfig, StorageServer, TenantSpec
 from repro.sim.trace import HOST, PCIE, Tracer, fold_charges, parse_channel
 from repro.system import available_systems, build_system
+from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
+from repro.workloads.ycsb import YcsbConfig, ycsb_trace
 
 from ..conftest import small_sim_config
 
@@ -53,17 +62,51 @@ def _mixed_workload(system, after_op) -> None:
     read(40_000, 128)
 
 
-@pytest.mark.parametrize("name", available_systems())
-def test_stage_trace_invariants(name, monkeypatch):
-    roots = []
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every root trace and detached span, in the order they open.
+
+    ``Tracer.begin`` opens only roots and ``Tracer.detached`` only
+    background spans; nothing in the system keeps either.
+    """
+    roots: list = []
+    detached_spans: list = []
     begin = Tracer.begin
+    detached = Tracer.detached
 
     def collecting_begin(tracer, trace_name, **meta):
         root = begin(tracer, trace_name, **meta)
         roots.append(root)
         return root
 
+    @contextmanager
+    def collecting_detached(tracer, span_name, **meta):
+        with detached(tracer, span_name, **meta) as span:
+            detached_spans.append(span)
+            yield span
+
     monkeypatch.setattr(Tracer, "begin", collecting_begin)
+    monkeypatch.setattr(Tracer, "detached", collecting_detached)
+    return roots, detached_spans
+
+
+def assert_ledger_is_fold(traces, resources) -> None:
+    """The ledger's busy totals equal the folded charges of ``traces``."""
+    totals = fold_charges(traces)
+    per_channel = [0.0] * resources.channels
+    for resource, ns in totals.items():
+        index = parse_channel(resource)
+        if index is not None:
+            per_channel[index] += ns
+    assert totals.get(HOST, 0.0) == pytest.approx(resources.host_busy_ns, rel=1e-12)
+    assert totals.get(PCIE, 0.0) == pytest.approx(resources.pcie_busy_ns, rel=1e-12)
+    for index, busy in enumerate(resources.channel_busy_ns):
+        assert per_channel[index] == pytest.approx(busy, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", available_systems())
+def test_stage_trace_invariants(name, recorded):
+    roots, detached_spans = recorded
     system = build_system(name, small_sim_config())
 
     # (3) One demand per read and write, handed over, not kept.
@@ -82,20 +125,44 @@ def test_stage_trace_invariants(name, monkeypatch):
     )
 
     # (2) The ledger is a pure fold of the recorded stages.
-    resources = system.device.resources
-    totals = fold_charges(roots + [system.tracer.ambient])
-    per_channel = [0.0] * resources.channels
-    for resource, ns in totals.items():
-        index = parse_channel(resource)
-        if index is not None:
-            per_channel[index] += ns
-    assert totals.get(HOST, 0.0) == pytest.approx(resources.host_busy_ns, rel=1e-12)
-    assert totals.get(PCIE, 0.0) == pytest.approx(resources.pcie_busy_ns, rel=1e-12)
-    for index, busy in enumerate(resources.channel_busy_ns):
-        assert per_channel[index] == pytest.approx(busy, rel=1e-12, abs=1e-9)
+    assert_ledger_is_fold(
+        roots + detached_spans + [system.tracer.ambient], system.device.resources
+    )
 
     # (4) The anatomy view sums back to the same mean.
     breakdown = system.stage_breakdown()
     assert sum(breakdown.values()) == pytest.approx(
         system.latency.mean_ns(), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("name", ["pipette", "block-io"])
+def test_served_ledger_is_a_fold_of_the_traces(name, recorded):
+    """(2) on the serve path: two tenants, reads and read-modify-writes.
+
+    A small page cache makes block-io's dirty pages write back in
+    detached spans mid-run.
+    """
+    roots, detached_spans = recorded
+    base = small_sim_config()
+    sim_config = base.scaled(
+        cache=replace(base.cache, shared_memory_bytes=256 * KIB, fgrc_bytes=128 * KIB)
+    )
+    reads = synthetic_trace(SyntheticConfig(requests=60, file_size=1 * MIB, seed=5))
+    updates = ycsb_trace(YcsbConfig(workload="A", records=1_024, operations=120, seed=6))
+    config = ServeConfig(
+        tenants=(
+            TenantSpec("reads", reads, max_ops=60),
+            TenantSpec("updates", updates, max_ops=120),
+        ),
+        system=name,
+    )
+    server = StorageServer(config, sim_config=sim_config)
+    server.run()
+    system = server.system
+    assert system.reads > 0 and system.writes > 0
+    if name == "block-io":
+        assert detached_spans
+    assert_ledger_is_fold(
+        roots + detached_spans + [system.tracer.ambient], system.device.resources
     )

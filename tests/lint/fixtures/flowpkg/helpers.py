@@ -1,16 +1,6 @@
 """Helpers another module imports: sinks the call graph must export."""
 
 
-def charge_pcie(model, cost_ns):
-    """Charges its ``model`` parameter directly (a cross-module sink)."""
-    model.pcie(cost_ns)
-
-
-def wind(clk, delta_ns):
-    """Advances its ``clk`` parameter (a cross-module clock sink)."""
-    clk.advance(delta_ns)
-
-
 def sample(rng):
     """Draws from its ``rng`` parameter (a cross-module RNG sink)."""
     return rng.random()

@@ -1,13 +1,11 @@
-"""Calls the helpers with a ledger/clock/RNG — flagged via the package index."""
+"""Calls the helper with the global RNG — flagged via the package index."""
 
 import random
 
-from helpers import charge_pcie, sample, wind
+from helpers import sample
 
 
-def run(clock, resources, delta_ns):
-    charge_pcie(resources, delta_ns)  # expect: stage-charging
-    wind(clock, delta_ns)  # expect: stage-charging
+def run():
     hidden = sample(random)  # expect: seeded-rng-only
     safe = sample(random.Random(7))
     return hidden, safe

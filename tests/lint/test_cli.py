@@ -21,7 +21,6 @@ def test_list_rules(capsys) -> None:
     for rule in (
         "virtual-time-purity",
         "seeded-rng-only",
-        "stage-charging",
         "unit-suffix-consistency",
         "deterministic-iteration",
     ):

@@ -22,8 +22,6 @@ FIXTURE_RULES = {
     "wallclock.py": "virtual-time-purity",
     "unseeded_rng.py": "seeded-rng-only",
     "aliased_rng.py": "seeded-rng-only",
-    "bare_charge.py": "stage-charging",
-    "aliased_clock.py": "stage-charging",
     "mixed_units.py": "unit-suffix-consistency",
     "dimension_mismatch.py": "dimension-mismatch",
     "rate_derivation.py": "rate-derivation",
@@ -38,7 +36,7 @@ FIXTURE_RULES = {
 #: fixture *package* -> rules whose cross-module counterexamples it
 #: marks (call sites that resolve only through the package index).
 PACKAGE_FIXTURE_RULES = {
-    "flowpkg": {"stage-charging", "seeded-rng-only"},
+    "flowpkg": {"seeded-rng-only"},
     "unitspkg": {"dimension-mismatch", "rate-derivation", "suffixless-cost-literal"},
 }
 
@@ -94,10 +92,10 @@ def test_rule_catches_its_counterexample(name: str, rule: str) -> None:
 
 
 def test_package_scoping_exempts_non_sim_packages() -> None:
-    source = "def f(resources, ns):\n    return resources.host(ns)\n"
+    source = "def f(items):\n    for item in set(items):\n        pass\n"
     # Inside an enforced simulator package: flagged.
     assert lint_source(source, "src/repro/ssd/thing.py")
-    # Analysis/reporting code is outside the stage-charging scope.
+    # Analysis/reporting code is outside the deterministic-iteration scope.
     assert not lint_source(source, "src/repro/analysis/thing.py")
     # Files outside the repro tree get the full rule set.
     assert lint_source(source, "scripts/thing.py")
@@ -105,10 +103,11 @@ def test_package_scoping_exempts_non_sim_packages() -> None:
 
 def test_serve_package_is_in_simulator_scope() -> None:
     # The serving layer runs on the virtual timeline: the scoped
-    # discipline rules (stage charging, deterministic iteration) apply
+    # discipline rules (ledger mutation, deterministic iteration) apply
     # to it exactly as to the simulator core.
-    charging = "def f(resources, ns):\n    return resources.host(ns)\n"
-    assert lint_source(charging, "src/repro/serve/thing.py")
+    mutation = "def f(resources, ns):\n    resources.host_busy_ns += ns\n"
+    findings = lint_source(mutation, "src/repro/serve/thing.py")
+    assert "shared-state-mutation" in {f.rule for f in findings}
     iteration = "def f(tenants):\n    for t in set(tenants):\n        pass\n"
     findings = lint_source(iteration, "src/repro/serve/thing.py")
     assert "deterministic-iteration" in {f.rule for f in findings}
@@ -125,18 +124,14 @@ def test_serve_package_globals_still_enforced() -> None:
     assert "seeded-rng-only" in {f.rule for f in findings}
 
 
-def test_clock_advance_allowed_in_tracer_routing_module() -> None:
-    source = (
-        "from repro.sim.trace import Tracer\n"
-        "def f(clock, ns):\n"
-        "    return clock.advance(ns)\n"
-    )
-    assert not lint_source(source, "src/repro/sim/engine.py")
-
-
 def test_choke_point_modules_are_exempt() -> None:
-    source = "def f(resources, ns):\n    return resources.host(ns)\n"
+    # The Tracer's fold is the ledger's one writer; everywhere else in
+    # the simulator a write to the ledger is flagged.
+    source = "def f(resources, ns):\n    resources.host_busy_ns += ns\n"
     assert not lint_source(source, "src/repro/sim/trace.py")
+    for path in ("src/repro/sim/resources.py", "src/repro/ssd/device.py"):
+        findings = lint_source(source, path)
+        assert {f.rule for f in findings} == {"shared-state-mutation"}
 
 
 def test_aliased_time_import_still_flagged() -> None:

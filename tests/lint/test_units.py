@@ -60,11 +60,15 @@ def test_scale_conversions_stay_the_suffix_rules_job() -> None:
 
 
 def test_cost_sink_shape_disambiguation() -> None:
-    # ResourceModel.host(ns) has no label argument; the literal is
-    # still found in position 0.
-    source = "def f(model, cost):\n    model.host(cost + 900)\n"
-    findings = lint_source(source, "x.py", rules=[RULES["suffixless-cost-literal"]])
+    # Only the Tracer's labelled shape is a cost sink: the duration
+    # follows the stage name.  An unlabelled ``host(...)`` is some
+    # other API, so its literal is not a cost.
+    rule = [RULES["suffixless-cost-literal"]]
+    labelled = "def f(tracer, cost):\n    tracer.host(\"x\", cost + 900)\n"
+    findings = lint_source(labelled, "x.py", rules=rule)
     assert [f.rule for f in findings] == ["suffixless-cost-literal"]
+    unlabelled = "def f(model, cost):\n    model.host(cost + 900)\n"
+    assert not lint_source(unlabelled, "x.py", rules=rule)
 
 
 # --- cross-module inference (the unitspkg fixture package) ------------

@@ -1,86 +1,31 @@
-"""Tests for the resource (bottleneck) model."""
+"""Tests for the resource (bottleneck) model's derived views."""
 
 import pytest
 
 from repro.sim.resources import ResourceModel
 
 
-def test_host_and_pcie_accumulate():
-    model = ResourceModel(channels=2)
-    model.host(10.0)
-    model.host(5.0)
-    model.pcie(7.0)
-    assert model.host_busy_ns == 15.0
-    assert model.pcie_busy_ns == 7.0
-
-
-def test_channel_charging_rejects_out_of_range_index():
-    model = ResourceModel(channels=4)
-    model.channel(1, 3.0)
-    with pytest.raises(ValueError, match="out of range"):
-        model.channel(5, 2.0)
-    with pytest.raises(ValueError, match="out of range"):
-        model.channel(-1, 2.0)
-    assert model.channel_busy_ns[1] == 3.0
-
-
 def test_nand_busy_is_max_channel():
-    model = ResourceModel(channels=3)
-    model.channel(0, 4.0)
-    model.channel(1, 9.0)
+    model = ResourceModel(channels=3, channel_busy_ns=[4.0, 9.0, 0.0])
     assert model.nand_busy_ns == 9.0
     assert model.nand_total_ns == 13.0
 
 
-def test_any_channel_picks_least_loaded():
-    model = ResourceModel(channels=2)
-    model.channel(0, 10.0)
-    model.any_channel(3.0)
-    assert model.channel_busy_ns == [10.0, 3.0]
-
-
 def test_bottleneck_is_busiest_resource():
-    model = ResourceModel(channels=2)
-    model.host(100.0)
-    model.pcie(50.0)
-    model.channel(0, 80.0)
+    model = ResourceModel(
+        channels=2, host_busy_ns=100.0, pcie_busy_ns=50.0, channel_busy_ns=[80.0, 0.0]
+    )
     assert model.bottleneck_time_ns() == 100.0
     assert model.bottleneck_resource() == "host"
 
 
 def test_host_parallelism_divides_host_time():
-    model = ResourceModel(channels=2, host_parallelism=4)
-    model.host(100.0)
-    model.channel(0, 50.0)
+    model = ResourceModel(
+        channels=2, host_parallelism=4, host_busy_ns=100.0, channel_busy_ns=[50.0, 0.0]
+    )
     assert model.host_effective_ns == 25.0
     assert model.bottleneck_time_ns() == 50.0
     assert model.bottleneck_resource() == "nand"
-
-
-def test_merge_adds_componentwise():
-    a = ResourceModel(channels=2)
-    b = ResourceModel(channels=2)
-    a.host(1.0)
-    b.host(2.0)
-    a.channel(0, 3.0)
-    b.channel(1, 4.0)
-    merged = a.merged_with(b)
-    assert merged.host_busy_ns == 3.0
-    assert merged.channel_busy_ns == [3.0, 4.0]
-
-
-def test_merge_channel_mismatch_rejected():
-    with pytest.raises(ValueError):
-        ResourceModel(channels=2).merged_with(ResourceModel(channels=4))
-
-
-def test_reset_zeroes_everything():
-    model = ResourceModel(channels=2)
-    model.host(1.0)
-    model.pcie(1.0)
-    model.channel(0, 1.0)
-    model.reset()
-    assert model.bottleneck_time_ns() == 0.0
 
 
 def test_invalid_construction():
@@ -88,3 +33,5 @@ def test_invalid_construction():
         ResourceModel(channels=0)
     with pytest.raises(ValueError):
         ResourceModel(channels=2, host_parallelism=0)
+    with pytest.raises(ValueError):
+        ResourceModel(channels=2, channel_busy_ns=[1.0])

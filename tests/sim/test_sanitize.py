@@ -1,4 +1,4 @@
-"""Runtime sanitizer: trace/ledger invariants checked at Tracer boundaries."""
+"""Runtime sanitizer activation and the invariants that hold without it."""
 
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ def test_env_var_activates(monkeypatch) -> None:
 
 def test_end_without_begin_raises() -> None:
     with pytest.raises(SanitizeError, match="without a matching begin"):
-        Tracer().end()
+        Tracer(ResourceModel()).end()
 
 
 def test_clean_request_passes() -> None:
@@ -49,49 +49,6 @@ def test_clean_request_passes() -> None:
     # channel() stages are off the QD-1 path by default; host + pcie remain.
     assert trace.latency_ns() == 15.0
     assert trace.charges() == {"host": 10.0, "channel:1": 50.0, "pcie": 5.0}
-
-
-def test_ledger_bypass_detected() -> None:
-    resources = ResourceModel(channels=2)
-    tracer = Tracer(resources)
-    tracer.begin("read")
-    tracer.host("work", 10.0)
-    resources.host(5.0)  # charged behind the traces' back
-    with SimSanitizer():
-        with pytest.raises(SanitizeError, match="ledger diverged"):
-            tracer.end()
-
-
-def test_nan_ledger_bypass_detected() -> None:
-    resources = ResourceModel(channels=2)
-    tracer = Tracer(resources)
-    tracer.begin("read")
-    tracer.host("work", 10.0)
-    resources.host(float("nan"))  # abs(nan - x) > tol is False
-    with SimSanitizer():
-        with pytest.raises(SanitizeError, match="ledger diverged"):
-            tracer.end()
-
-
-def test_mid_run_reset_detected() -> None:
-    resources = ResourceModel(channels=2)
-    tracer = Tracer(resources)
-    tracer.begin("read")
-    tracer.channel(0, "tR", 50.0)
-    resources.reset()  # rewinding the ledger loses the folded charge
-    with SimSanitizer():
-        with pytest.raises(SanitizeError, match="ledger diverged"):
-            tracer.end()
-
-
-def test_preexisting_ledger_charges_are_baselined() -> None:
-    resources = ResourceModel(channels=2)
-    resources.host(100.0)  # charged before the tracer was attached
-    tracer = Tracer(resources)
-    with SimSanitizer():
-        tracer.begin("read")
-        tracer.host("work", 1.0)
-        tracer.end()  # no error: the attach-time snapshot absorbs it
 
 
 def test_nan_and_negative_stage_durations_rejected() -> None:

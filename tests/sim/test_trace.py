@@ -105,14 +105,14 @@ def test_fold_charges_aggregates_traces():
 
 
 def test_tracer_records_into_ambient_without_request():
-    tracer = Tracer()
+    tracer = Tracer(ResourceModel())
     tracer.host("setup", 5.0)
     assert tracer.active is tracer.ambient
     assert tracer.ambient.stages[0].name == "setup"
 
 
 def test_tracer_begin_end_stack():
-    tracer = Tracer()
+    tracer = Tracer(ResourceModel())
     trace = tracer.begin("read", size=64)
     assert tracer.active is trace
     tracer.host("fine_stack", 1.0)
@@ -154,15 +154,30 @@ def test_tracer_channel_out_of_range_propagates():
         tracer.channel(7, "tR", 1.0)
 
 
+def test_channel_charging_rejects_out_of_range_index():
+    resources = ResourceModel(channels=4)
+    tracer = Tracer(resources)
+    tracer.channel(1, "tR", 3.0)
+    with pytest.raises(ValueError, match="out of range"):
+        tracer.channel(4, "tR", 2.0)
+    # channel_tag refuses a negative index, so go through the raw tag.
+    with pytest.raises(ValueError, match="out of range"):
+        tracer.add("channel:-1", "tR", 2.0)
+    assert resources.channel_busy_ns == [0.0, 3.0, 0.0, 0.0]
+
+
 def test_detached_span_bypasses_active_request():
     resources = ResourceModel(channels=2)
     tracer = Tracer(resources)
     trace = tracer.begin("read")
-    with tracer.detached("writeback"):
+    with tracer.detached("writeback") as background:
         tracer.pcie("pcie_xfer", 9.0)
     tracer.end()
     # Charged (the link was busy) but invisible to the request.
     assert resources.pcie_busy_ns == 9.0
     assert trace.latency_ns() == 0.0
     assert trace.demand().pcie_ns == 0.0
-    assert tracer.ambient.children[0].name == "writeback"
+    # A standalone trace: nothing keeps it, not even the ambient trace.
+    assert background.name == "writeback"
+    assert background.charges() == {PCIE: 9.0}
+    assert tracer.ambient.children == []
