@@ -3,21 +3,26 @@
 2B-SSD style byte access stages NAND pages here before the host pulls
 the demanded bytes out via MMIO or a freshly mapped DMA (paper
 section 2.2).  Modelled as a flat region plus a tiny page directory so
-tests can check staging behaviour.
+tests can check staging behaviour.  The region is the HMB's lazily
+backed, bounds-checked :class:`~repro.ssd.hmb.MemoryRegion`: resident
+only where a staged page was written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
+
+from repro.ssd.hmb import MemoryRegion
 
 
 @dataclass
-class ControllerMemoryBuffer:
+class ControllerMemoryBuffer(MemoryRegion):
     """BAR-exposed controller memory staging area."""
 
-    size: int
+    label: ClassVar[str] = "CMB"
+
     page_size: int = 4096
-    _data: bytearray = field(init=False, repr=False)
     #: ppn currently staged in each CMB page slot (round-robin reuse).
     _staged: dict[int, int] = field(default_factory=dict)
     _next_slot: int = 0
@@ -25,7 +30,7 @@ class ControllerMemoryBuffer:
     def __post_init__(self) -> None:
         if self.size < self.page_size:
             raise ValueError("CMB smaller than one page")
-        self._data = bytearray(self.size)
+        super().__post_init__()
 
     @property
     def slots(self) -> int:
@@ -40,14 +45,8 @@ class ControllerMemoryBuffer:
         if content is not None:
             if len(content) != self.page_size:
                 raise ValueError("staged content must be one full page")
-            self._data[addr : addr + self.page_size] = content
+            self.write(addr, content)
         return addr
-
-    def read(self, addr: int, length: int) -> bytes:
-        """Host-side read of staged bytes."""
-        if addr < 0 or addr + length > self.size:
-            raise ValueError(f"access [{addr}, {addr + length}) outside CMB")
-        return bytes(self._data[addr : addr + length])
 
     def staged_ppn(self, slot: int) -> int | None:
         """ppn staged in a slot, if any (diagnostics/tests)."""

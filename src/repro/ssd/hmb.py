@@ -5,24 +5,38 @@ inside the HMB so the device can DMA extracted byte ranges directly to
 their final destinations (paper section 3.1.1).  The buffer is modelled
 as a flat byte-addressable region; address management is left to the
 cache layers above.
+
+The region is provisioned address space, not filled memory: it is an
+anonymous private mapping, so the OS supplies a zeroed page the first
+time one is touched.  Construction is O(1) and resident memory equals
+the pages actually written, which is none when payloads are not
+transferred.  :class:`MemoryRegion` is shared with the controller
+memory buffer (``ssd/cmb.py``).
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 @dataclass
-class HostMemoryBuffer:
-    """Flat host-resident region addressable by both host and device."""
+class MemoryRegion:
+    """Flat, bounds-checked, lazily backed byte region."""
+
+    #: Short name used in error messages.
+    label: ClassVar[str] = "region"
 
     size: int
-    _data: bytearray = field(init=False, repr=False)
+    _data: mmap.mmap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
-            raise ValueError("HMB size must be positive")
-        self._data = bytearray(self.size)
+            raise ValueError(f"{self.label} size must be positive")
+        # Private, so a forked process gets copy-on-write pages as it
+        # would with a bytearray.
+        self._data = mmap.mmap(-1, self.size, flags=mmap.MAP_PRIVATE)
 
     def write(self, addr: int, payload: bytes) -> None:
         """Store ``payload`` at ``addr`` (device DMA or host store)."""
@@ -30,17 +44,24 @@ class HostMemoryBuffer:
         self._data[addr : addr + len(payload)] = payload
 
     def read(self, addr: int, length: int) -> bytes:
-        """Load ``length`` bytes from ``addr``."""
+        """Load ``length`` bytes from ``addr`` (an immutable copy)."""
         self._check(addr, length)
-        return bytes(self._data[addr : addr + length])
+        return self._data[addr : addr + length]
 
     def _check(self, addr: int, length: int) -> None:
         if length < 0:
             raise ValueError("negative length")
         if addr < 0 or addr + length > self.size:
             raise ValueError(
-                f"access [{addr}, {addr + length}) outside HMB of {self.size} bytes"
+                f"access [{addr}, {addr + length}) outside {self.label} of {self.size} bytes"
             )
 
 
-__all__ = ["HostMemoryBuffer"]
+@dataclass
+class HostMemoryBuffer(MemoryRegion):
+    """Flat host-resident region addressable by both host and device."""
+
+    label: ClassVar[str] = "HMB"
+
+
+__all__ = ["HostMemoryBuffer", "MemoryRegion"]

@@ -10,6 +10,7 @@ payload (tests recompute the expected pattern independently).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from repro.config import NandType, SSDSpec, TimingModel
 
@@ -17,6 +18,7 @@ from repro.config import NandType, SSDSpec, TimingModel
 _PATTERN_PERIOD = 256
 
 
+@cache
 def _pattern_table(page_size: int) -> bytes:
     return bytes(range(_PATTERN_PERIOD)) * (page_size // _PATTERN_PERIOD + 2)
 
