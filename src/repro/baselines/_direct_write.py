@@ -19,42 +19,39 @@ def direct_write(
     inode: Inode,
     offset: int,
     data: bytes,
-) -> float:
-    """Read-modify-write ``data`` at ``offset``; returns latency (ns).
+) -> None:
+    """Read-modify-write ``data`` at ``offset``.
 
-    The device records each page's read/write as nested spans of the
-    active trace; the returned latency is derived from our span.
+    The device records each page's read and write into the active
+    trace.
     """
     size = len(data)
     if size == 0:
-        return 0.0
+        return
     if offset < 0:
         raise ValueError("negative offset")
     if offset + size > inode.size:
         fs.truncate(inode, offset + size)
     page_size = fs.page_size
-    with device.tracer.span("direct_write", size=size) as span:
-        position = offset
-        end = offset + size
-        cursor = 0
-        while position < end:
-            page_index = position // page_size
-            in_page = position % page_size
-            take = min(end - position, page_size - in_page)
-            lba = fs.page_lba(inode, page_index)
-            if take == page_size:
-                content: bytes | None = None
-            else:
-                result = device.block_read([lba])
-                content = result.pages.get(lba)
-            if content is None:
-                content = bytes(page_size)
-            mutable = bytearray(content)
-            mutable[in_page : in_page + take] = data[cursor : cursor + take]
-            device.block_write([(lba, bytes(mutable))])
-            position += take
-            cursor += take
-    return span.latency_ns()
+    position = offset
+    end = offset + size
+    cursor = 0
+    while position < end:
+        page_index = position // page_size
+        in_page = position % page_size
+        take = min(end - position, page_size - in_page)
+        lba = fs.page_lba(inode, page_index)
+        if take == page_size:
+            content: bytes | None = None
+        else:
+            content = device.block_read([lba]).get(lba)
+        if content is None:
+            content = bytes(page_size)
+        mutable = bytearray(content)
+        mutable[in_page : in_page + take] = data[cursor : cursor + take]
+        device.block_write([(lba, bytes(mutable))])
+        position += take
+        cursor += take
 
 
 __all__ = ["direct_write"]

@@ -30,8 +30,7 @@ class BlockIOSystem(StorageSystem):
         self.block_path = BlockReadPath(config, self.device, self.fs, self.page_cache)
 
     def _read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
-        data, _ = self.block_path.read(entry, offset, size)
-        return data
+        return self.block_path.read(entry, offset, size)
 
     def _write(self, entry: OpenFile, offset: int, data: bytes) -> None:
         self.block_path.write(entry, offset, data)

@@ -57,10 +57,6 @@ class FineGrainedReadEngine:
 
     def handle(self, command: NvmeCommand) -> NvmeCompletion:
         """Execute one ``FINE_GRAINED_READ`` command."""
-        with self.controller.tracer.span("device.fine_read", ranges=len(command.ranges)):
-            return self._handle_traced(command)
-
-    def _handle_traced(self, command: NvmeCommand) -> NvmeCompletion:
         page_size = self.config.ssd.page_size
         tracer = self.controller.tracer
         nand_ns_each: list[float] = []

@@ -90,8 +90,7 @@ class PipetteSystem(StorageSystem):
     def _read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
         decision = self.dispatcher.decide(entry, size)
         if decision is DispatchDecision.BLOCK or not self.detector.permitted(entry):
-            data, _ = self.block_path.read(entry, offset, size)
-            return data
+            return self.block_path.read(entry, offset, size)
         return self._fine_read(entry, offset, size)
 
     def _fine_read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:

@@ -45,17 +45,16 @@ class NvmeDriver:
         requests: list[BlockRequest],
         *,
         background_lbas: list[int] | None = None,
-    ) -> tuple[dict[int, bytes | None], float]:
-        """Issue reads; returns (pages by lba, QD-1 device latency)."""
+    ) -> dict[int, bytes | None]:
+        """Issue reads; returns the pages by lba."""
         demanded: list[int] = []
         for request in requests:
             demanded.extend(range(request.lba, request.lba + request.count))
-        result = self.device.block_read(demanded, background_lbas=background_lbas)
-        return result.pages, result.latency_ns
+        return self.device.block_read(demanded, background_lbas=background_lbas)
 
-    def write_pages(self, writes: list[tuple[int, bytes]]) -> float:
-        """Write full pages; returns QD-1 device latency."""
-        return self.device.block_write(writes)
+    def write_pages(self, writes: list[tuple[int, bytes]]) -> None:
+        """Write full pages."""
+        self.device.block_write(writes)
 
 
 __all__ = ["NvmeDriver"]

@@ -93,6 +93,9 @@ class BlockReadPath:
         self.page_cache = page_cache
         self.block_layer = BlockLayer()
         self.driver = NvmeDriver(device)
+        #: Payload of every page flushed without content: one shared
+        #: object, so the flash array keeps no per-page copy of it.
+        self._zero_page = bytes(fs.page_size)
         page_cache.writeback = self._writeback
 
     # --- helpers -----------------------------------------------------------
@@ -105,18 +108,18 @@ class BlockReadPath:
         """
         inode = self.fs.inode_by_number(ino)
         lba = self.fs.page_lba(inode, page_index)
-        payload = content if content is not None else bytes(self.fs.page_size)
-        with self.device.tracer.detached("writeback", ino=ino, page=page_index):
+        payload = content if content is not None else self._zero_page
+        with self.device.tracer.detached("writeback"):
             self.device.block_write([(lba, payload)])
 
     def _page_content(self, pages: dict[int, bytes | None], lba: int) -> bytes | None:
         return pages.get(lba)
 
     # --- read -------------------------------------------------------------
-    def read(self, entry: OpenFile, offset: int, size: int) -> tuple[bytes | None, float]:
-        """Read ``size`` bytes at ``offset``; returns (data, latency_ns).
+    def read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
+        """Read ``size`` bytes at ``offset``.
 
-        Data is None when the simulation runs with ``transfer_data``
+        Returns None when the simulation runs with ``transfer_data``
         disabled (accounting-only mode).
         """
         inode = entry.inode
@@ -127,59 +130,55 @@ class BlockReadPath:
         page_size = self.fs.page_size
         file_pages = -(-inode.size // page_size)
 
-        with tracer.span("block_path.read", size=size) as span:
-            tracer.host("block_stack", timing.block_stack_ns)
+        tracer.host("block_stack", timing.block_stack_ns)
 
-            first_page = offset // page_size
-            last_page = (offset + size - 1) // page_size
+        first_page = offset // page_size
+        last_page = (offset + size - 1) // page_size
 
-            miss_pages: list[int] = []
-            resident: dict[int, bytes | None] = {}
-            for page_index in range(first_page, last_page + 1):
-                cached = self.page_cache.lookup(inode.ino, page_index)
-                if cached is None:
-                    miss_pages.append(page_index)
-                else:
-                    resident[page_index] = cached.content
-                    tracer.host("page_cache_hit", timing.page_cache_hit_ns)
+        miss_pages: list[int] = []
+        resident: dict[int, bytes | None] = {}
+        for page_index in range(first_page, last_page + 1):
+            cached = self.page_cache.lookup(inode.ino, page_index)
+            if cached is None:
+                miss_pages.append(page_index)
+            else:
+                resident[page_index] = cached.content
+                tracer.host("page_cache_hit", timing.page_cache_hit_ns)
 
-            # Read-ahead window (based on the first missing page's pattern).
-            readahead_pages: list[int] = []
-            for page_index in range(first_page, last_page + 1):
-                was_miss = page_index in miss_pages
-                extra = entry.readahead.on_access(
-                    page_index, was_miss=was_miss, file_pages=file_pages
+        # Read-ahead window (based on the first missing page's pattern).
+        readahead_pages: list[int] = []
+        for page_index in range(first_page, last_page + 1):
+            was_miss = page_index in miss_pages
+            extra = entry.readahead.on_access(
+                page_index, was_miss=was_miss, file_pages=file_pages
+            )
+            for candidate in extra:
+                if candidate <= last_page:
+                    continue
+                if self.page_cache.peek(inode.ino, candidate) is not None:
+                    continue
+                readahead_pages.append(candidate)
+
+        if miss_pages:
+            tracer.host("block_layer", timing.block_layer_ns)
+            lba_of = {page: self.fs.page_lba(inode, page) for page in miss_pages}
+            background = [self.fs.page_lba(inode, page) for page in readahead_pages]
+            requests = self.block_layer.build_requests(list(lba_of.values()))
+            pages = self.driver.read_pages(requests, background_lbas=background)
+            for page_index, lba in lba_of.items():
+                content = self._page_content(pages, lba)
+                self.page_cache.insert(inode.ino, page_index, content)
+                resident[page_index] = content
+            for page_index in readahead_pages:
+                lba = self.fs.page_lba(inode, page_index)
+                self.page_cache.insert(
+                    inode.ino, page_index, self._page_content(pages, lba)
                 )
-                for candidate in extra:
-                    if candidate <= last_page:
-                        continue
-                    if self.page_cache.peek(inode.ino, candidate) is not None:
-                        continue
-                    readahead_pages.append(candidate)
 
-            if miss_pages:
-                tracer.host("block_layer", timing.block_layer_ns)
-                lba_of = {page: self.fs.page_lba(inode, page) for page in miss_pages}
-                background = [self.fs.page_lba(inode, page) for page in readahead_pages]
-                requests = self.block_layer.build_requests(list(lba_of.values()))
-                # The device records its own nested span under ours.
-                pages, _device_ns = self.driver.read_pages(
-                    requests, background_lbas=background
-                )
-                for page_index, lba in lba_of.items():
-                    content = self._page_content(pages, lba)
-                    self.page_cache.insert(inode.ino, page_index, content)
-                    resident[page_index] = content
-                for page_index in readahead_pages:
-                    lba = self.fs.page_lba(inode, page_index)
-                    self.page_cache.insert(
-                        inode.ino, page_index, self._page_content(pages, lba)
-                    )
-
-            tracer.host("dram_copy", timing.dram_copy_ns(size))
+        tracer.host("dram_copy", timing.dram_copy_ns(size))
 
         if not self.config.transfer_data:
-            return None, span.latency_ns()
+            return None
         chunks: list[bytes] = []
         position = offset
         end = offset + size
@@ -192,15 +191,15 @@ class BlockReadPath:
                 raise RuntimeError(f"page {page_index} missing after read")
             chunks.append(content[in_page : in_page + take])
             position += take
-        return b"".join(chunks), span.latency_ns()
+        return b"".join(chunks)
 
     # --- write ------------------------------------------------------------
-    def write(self, entry: OpenFile, offset: int, data: bytes) -> float:
+    def write(self, entry: OpenFile, offset: int, data: bytes) -> None:
         """Buffered write: update page-cache pages, mark dirty."""
         inode = entry.inode
         size = len(data)
         if size == 0:
-            return 0.0
+            return
         if offset < 0:
             raise ValueError("negative offset")
         if offset + size > inode.size:
@@ -208,55 +207,49 @@ class BlockReadPath:
         timing = self.config.timing
         tracer = self.device.tracer
         page_size = self.fs.page_size
-        with tracer.span("block_path.write", size=size) as span:
-            tracer.host("block_stack", timing.block_stack_ns)
+        tracer.host("block_stack", timing.block_stack_ns)
 
-            position = offset
-            end = offset + size
-            data_cursor = 0
-            while position < end:
-                page_index = position // page_size
-                in_page = position % page_size
-                take = min(end - position, page_size - in_page)
-                cached = self.page_cache.lookup(inode.ino, page_index)
-                if cached is None:
-                    # Read-modify-write: partial page updates must fetch the
-                    # page first; full-page overwrites can skip the read.
-                    if take == page_size:
-                        content = b"\x00" * page_size if self.config.transfer_data else None
-                    else:
-                        lba = self.fs.page_lba(inode, page_index)
-                        result = self.device.block_read([lba])  # nested span
-                        content = result.pages.get(lba)
-                    self.page_cache.insert(inode.ino, page_index, content)
-                    cached = self.page_cache.peek(inode.ino, page_index)
-                    assert cached is not None
-                if self.config.transfer_data and cached.content is not None:
-                    mutable = bytearray(cached.content)
-                    mutable[in_page : in_page + take] = data[data_cursor : data_cursor + take]
-                    cached.content = bytes(mutable)
-                cached.dirty = True
-                position += take
-                data_cursor += take
+        position = offset
+        end = offset + size
+        data_cursor = 0
+        while position < end:
+            page_index = position // page_size
+            in_page = position % page_size
+            take = min(end - position, page_size - in_page)
+            cached = self.page_cache.lookup(inode.ino, page_index)
+            if cached is None:
+                # Read-modify-write: partial page updates must fetch the
+                # page first; full-page overwrites can skip the read.
+                if take == page_size:
+                    content = b"\x00" * page_size if self.config.transfer_data else None
+                else:
+                    lba = self.fs.page_lba(inode, page_index)
+                    content = self.device.block_read([lba]).get(lba)
+                self.page_cache.insert(inode.ino, page_index, content)
+                cached = self.page_cache.peek(inode.ino, page_index)
+                assert cached is not None
+            if self.config.transfer_data and cached.content is not None:
+                mutable = bytearray(cached.content)
+                mutable[in_page : in_page + take] = data[data_cursor : data_cursor + take]
+                cached.content = bytes(mutable)
+            cached.dirty = True
+            position += take
+            data_cursor += take
 
-            tracer.host("dram_copy", timing.dram_copy_ns(size))
-        return span.latency_ns()
+        tracer.host("dram_copy", timing.dram_copy_ns(size))
 
-    def fsync(self, entry: OpenFile) -> float:
-        """Flush every dirty page of the file; returns latency."""
+    def fsync(self, entry: OpenFile) -> None:
+        """Flush every dirty page of the file."""
         inode = entry.inode
         writes: list[tuple[int, bytes]] = []
-        page_size = self.fs.page_size
-        with self.device.tracer.span("block_path.fsync") as span:
-            for ino, page_index in self.page_cache.dirty_pages(inode.ino):
-                cached = self.page_cache.peek(ino, page_index)
-                assert cached is not None
-                payload = cached.content if cached.content is not None else bytes(page_size)
-                writes.append((self.fs.page_lba(inode, page_index), payload))
-                self.page_cache.clean(ino, page_index)
-            if writes:
-                self.driver.write_pages(writes)  # nested device span
-        return span.latency_ns()
+        for ino, page_index in self.page_cache.dirty_pages(inode.ino):
+            cached = self.page_cache.peek(ino, page_index)
+            assert cached is not None
+            payload = cached.content if cached.content is not None else self._zero_page
+            writes.append((self.fs.page_lba(inode, page_index), payload))
+            self.page_cache.clean(ino, page_index)
+        if writes:
+            self.driver.write_pages(writes)
 
 
 __all__ = [

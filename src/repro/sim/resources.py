@@ -10,7 +10,7 @@ the *sum* of the serial components of one request.
 :class:`ResourceModel` is the ledger of the throughput view: the
 ``busy_*`` accumulators feed :meth:`bottleneck_time_ns`, the pipelined
 completion time.  The ledger has no charge methods: layers record
-:class:`repro.sim.trace.Stage` entries, and ``Tracer._fold`` is the one
+:class:`repro.sim.trace.Stage` entries, and ``Tracer._record`` is the one
 writer of the busy totals, so they are a derived view of the
 per-request traces (the QD-1 latency view is another: see
 :meth:`repro.sim.trace.StageTrace.latency_ns`).

@@ -11,15 +11,16 @@ the settler.
 Four invariants hold whether or not the sanitizer is on, so it does
 not re-check them:
 
-- **ledger = trace sums** — ``Tracer._fold`` is the only writer of the
-  :class:`~repro.sim.resources.ResourceModel` busy totals, so the
+- **ledger = trace sums** — ``Tracer._record`` is the only writer of
+  the :class:`~repro.sim.resources.ResourceModel` busy totals, so the
   ledger cannot drift from the recorded charges;
-- **well-formed stages** — :class:`~repro.sim.trace.Stage` is frozen
-  and rejects a non-finite or negative duration, or a charged derived
-  ``"nand"`` stage, when it is built (ambient and detached stages
-  included);
-- **balanced spans** — ``Tracer.end()`` without a matching ``begin``
-  raises :class:`SanitizeError` instead of corrupting the span stack;
+- **well-formed stages** — ``Tracer._record`` rejects a non-finite or
+  negative duration, a charged derived ``NAND`` stage or an
+  out-of-range channel index before it touches the trace or the
+  ledger (ambient and detached stages included), and a recorded
+  :class:`~repro.sim.trace.Stage` is frozen;
+- **balanced traces** — ``Tracer.end()`` without a matching ``begin``
+  raises :class:`SanitizeError` instead of corrupting the trace stack;
 - **keyed FIFO admission** — :meth:`repro.serve.engine.FifoResource.acquire`
   raises ``ValueError`` on an acquire without a ``key`` while the loop
   runs, so same-timestamp contenders never queue in tie-break order.
@@ -39,7 +40,7 @@ import os
 
 
 class SanitizeError(AssertionError):
-    """A simulator invariant was violated (lost wakeup, unbalanced span)."""
+    """A simulator invariant was violated (lost wakeup, unbalanced trace)."""
 
 
 _depth = 0

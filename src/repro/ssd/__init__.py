@@ -2,7 +2,7 @@
 
 from repro.ssd.admin import AdminState, IdentifyController
 from repro.ssd.cmb import ControllerMemoryBuffer
-from repro.ssd.device import DeviceOpResult, SSDDevice
+from repro.ssd.device import SSDDevice
 from repro.ssd.dma import DmaEngine
 from repro.ssd.faults import FaultModel, NandReadError
 from repro.ssd.ftl import FlashTranslationLayer, WearReport
@@ -22,7 +22,6 @@ __all__ = [
     "AdminState",
     "CompletionQueue",
     "ControllerMemoryBuffer",
-    "DeviceOpResult",
     "DmaEngine",
     "FaultModel",
     "FlashArray",

@@ -11,22 +11,19 @@ offers the three read paths the paper compares:
   Engine (see :mod:`repro.core.engine`) for Pipette's byte path.
 
 Timing contract: device methods record :class:`repro.sim.trace.Stage`
-entries into the active request's :class:`StageTrace` (opening a child
-span per operation), which simultaneously feeds the pipelined
-throughput ledger and the queue-depth-1 latency view; host layers
-record their own stages on top.  The ``latency_ns`` values some
-methods still return are conveniences derived from the op's span (for
-tests and diagnostics), not inputs anyone needs to sum.
+entries into the active request's :class:`~repro.sim.trace.StageTrace`,
+which simultaneously feeds the pipelined throughput ledger and the
+queue-depth-1 latency view; host layers record their own stages into
+the same trace.  The block path returns data only: a caller that wants
+an operation's latency reads it off the trace it opened.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import SimConfig
 from repro.sim.resources import ResourceModel
 from repro.sim.stats import TrafficMeter
-from repro.sim.trace import StageTrace, Tracer
+from repro.sim.trace import Tracer
 from repro.ssd.admin import FEATURE_HMB, AdminState
 from repro.ssd.backends import build_backend
 from repro.ssd.cmb import ControllerMemoryBuffer
@@ -38,20 +35,6 @@ from repro.ssd.mmio import MmioWindow
 from repro.ssd.nand import FlashArray
 from repro.ssd.nvme import NvmeCommand, NvmeOpcode, NvmeQueuePair
 from repro.ssd.pcie import PcieLink
-
-
-@dataclass
-class DeviceOpResult:
-    """Data plus the stage span recorded for one device operation.
-
-    ``latency_ns`` is derived from the span — the op's serial QD-1
-    critical path — kept as a field for compatibility with direct
-    device-level use; request paths read latency off the trace instead.
-    """
-
-    latency_ns: float
-    pages: dict[int, bytes | None]
-    span: StageTrace | None = None
 
 
 def _contiguous_runs(lbas: list[int]) -> list[tuple[int, int]]:
@@ -139,10 +122,11 @@ class SSDDevice:
         lbas: list[int],
         *,
         background_lbas: list[int] | None = None,
-    ) -> DeviceOpResult:
-        """Read full pages; ``background_lbas`` are read-ahead pages.
+    ) -> dict[int, bytes | None]:
+        """Read full pages; returns the content of every page by lba.
 
-        Demanded pages contribute to the returned QD-1 latency;
+        ``background_lbas`` are read-ahead pages.  Demanded pages are
+        on the request's QD-1 critical path;
         background (read-ahead) pages occupy NAND channels and the link
         — and count as I/O traffic — but complete asynchronously, so
         they do not extend the request's latency.
@@ -150,43 +134,40 @@ class SSDDevice:
         page_size = self.config.ssd.page_size
         timing = self.config.timing
         pages: dict[int, bytes | None] = {}
+        per_page_ns: list[float] = []
+        for start, count in _contiguous_runs(lbas):
+            completion = self.queue.submit(
+                NvmeCommand(opcode=NvmeOpcode.READ, lba=start, nlb=count)
+            )
+            if not completion.success:
+                raise RuntimeError(f"READ of [{start}, {start + count}) failed")
+            run_pages, nand_ns_each = completion.result
+            for index, lba in enumerate(range(start, start + count)):
+                pages[lba] = run_pages[index]
+                per_page_ns.append(nand_ns_each[index])
 
-        with self.tracer.span("device.block_read", pages=len(lbas)) as span:
-            per_page_ns: list[float] = []
-            for start, count in _contiguous_runs(lbas):
-                completion = self.queue.submit(
-                    NvmeCommand(opcode=NvmeOpcode.READ, lba=start, nlb=count)
-                )
-                if not completion.success:
-                    raise RuntimeError(f"READ of [{start}, {start + count}) failed")
-                run_pages, nand_ns_each = completion.result
-                for index, lba in enumerate(range(start, start + count)):
-                    pages[lba] = run_pages[index]
-                    per_page_ns.append(nand_ns_each[index])
+        if per_page_ns:
+            self.controller.record_array_phase(per_page_ns)
+            self.link.dma_to_host(self.tracer, page_size * len(per_page_ns))
+            # Interrupt/completion handling extends QD-1 latency but
+            # overlaps other requests' work under pipelining.
+            self.tracer.host("completion", timing.completion_ns, charged=False)
 
-            if per_page_ns:
-                self.controller.record_array_phase(per_page_ns)
-                self.link.dma_to_host(self.tracer, page_size * len(per_page_ns))
-                # Interrupt/completion handling extends QD-1 latency but
-                # overlaps other requests' work under pipelining.
-                self.tracer.host("completion", timing.completion_ns, charged=False)
-
-            for lba in background_lbas or []:
-                content, _ = self.controller.sense_page(lba)
-                penalty = self.controller.block_page_extra_ns()
-                self.tracer.channel(
-                    self.nand.channel_of(self.ftl.translate(lba)), "block_penalty", penalty
-                )
-                pages[lba] = content
-                self.link.dma_to_host(
-                    self.tracer, page_size, name="readahead_xfer", latency=False
-                )
-
-        return DeviceOpResult(latency_ns=span.latency_ns(), pages=pages, span=span)
+        for lba in background_lbas or []:
+            content, _ = self.controller.sense_page(lba)
+            penalty = self.controller.block_page_extra_ns()
+            self.tracer.channel(
+                self.nand.channel_of(self.ftl.translate(lba)), "block_penalty", penalty
+            )
+            pages[lba] = content
+            self.link.dma_to_host(
+                self.tracer, page_size, name="readahead_xfer", latency=False
+            )
+        return pages
 
     # --- write path ---------------------------------------------------------
-    def block_write(self, writes: list[tuple[int, bytes]]) -> float:
-        """Write full pages; returns QD-1 latency.
+    def block_write(self, writes: list[tuple[int, bytes]]) -> None:
+        """Write full pages.
 
         Like a real NVMe SSD, writes are acknowledged from the device's
         DRAM write buffer: the visible latency is the PCIe transfer plus
@@ -194,17 +175,15 @@ class SSDDevice:
         (it still occupies the flash channel in the throughput model).
         """
         page_size = self.config.ssd.page_size
-        with self.tracer.span("device.block_write", pages=len(writes)) as span:
-            for lba, data in writes:
-                if len(data) != page_size:
-                    raise ValueError("block_write requires full pages")
-                self.link.dma_to_device(self.tracer, page_size)
-                self.controller.program_page(lba, data)  # channel stage, off latency
-            if writes:
-                self.tracer.host(
-                    "completion", self.config.timing.completion_ns, charged=False
-                )
-        return span.latency_ns()
+        for lba, data in writes:
+            if len(data) != page_size:
+                raise ValueError("block_write requires full pages")
+            self.link.dma_to_device(self.tracer, page_size)
+            self.controller.program_page(lba, data)  # channel stage, off latency
+        if writes:
+            self.tracer.host(
+                "completion", self.config.timing.completion_ns, charged=False
+            )
 
     # --- 2B-SSD style byte access ---------------------------------------------
     def stage_for_byte_access(self, lba: int) -> tuple[int, bytes | None, float]:
@@ -226,4 +205,4 @@ class SSDDevice:
         self.controller.install_extension(NvmeOpcode.FINE_GRAINED_READ, engine)
 
 
-__all__ = ["DeviceOpResult", "SSDDevice"]
+__all__ = ["SSDDevice"]

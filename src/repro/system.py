@@ -140,7 +140,7 @@ class StorageSystem(abc.ABC):
         derived views of the record once ``_read`` returns.
         """
         entry = self.files.get(fd)
-        self.tracer.begin("read", size=size)
+        self.tracer.begin("read")
         try:
             data = self._read(entry, offset, size)
         finally:
@@ -162,7 +162,7 @@ class StorageSystem(abc.ABC):
         """
         entry = self.files.get(fd)
         self.device.traffic.write_context = True
-        self.tracer.begin("write", size=len(data))
+        self.tracer.begin("write")
         try:
             self._write(entry, offset, data)
         finally:

@@ -6,6 +6,7 @@ from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
 from repro.baselines._direct_write import direct_write
 from repro.kernel.fs.ext4 import ExtentFileSystem
 from repro.ssd.device import SSDDevice
+from tests.conftest import root_trace
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def read_back(device, fs, inode, offset, size):
         in_page = position % 4096
         take = min(offset + size - position, 4096 - in_page)
         lba = fs.page_lba(inode, page)
-        content = device.block_read([lba]).pages[lba]
+        content = device.block_read([lba])[lba]
         out += content[in_page : in_page + take]
         position += take
     return bytes(out)
@@ -70,7 +71,10 @@ def test_write_extends_file(rig):
 
 def test_zero_length_write_is_noop(rig):
     device, fs, inode = rig
-    assert direct_write(device, fs, inode, 0, b"") == 0.0
+    with root_trace(device.tracer) as trace:
+        direct_write(device, fs, inode, 0, b"")
+    assert trace.stages == []
+    assert trace.latency_ns() == 0.0
 
 
 def test_negative_offset_rejected(rig):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import pytest
 
 from repro.config import KIB, MIB, CacheConfig, SimConfig, SSDSpec
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
+from repro.sim.trace import StageTrace, Tracer
 from repro.system import build_system
 
 
@@ -48,3 +52,17 @@ def make_open_file(system, path="/data/file.bin", size=1 * MIB, flags=O_RDWR | O
 @pytest.fixture
 def open_fd(pipette):
     return make_open_file(pipette)
+
+
+@contextmanager
+def root_trace(tracer: Tracer) -> Iterator[StageTrace]:
+    """Record the block's stages into one root trace, as a request would.
+
+    Device, driver and VFS calls return no latency; a test reads it off
+    the yielded trace (``trace.latency_ns()``) after the block.
+    """
+    trace = tracer.begin("request")
+    try:
+        yield trace
+    finally:
+        tracer.end()

@@ -4,7 +4,7 @@ A storage system computes each request's queueing demand once, hands
 it to the caller as ``last_demand`` and keeps no per-request record,
 so serving and cluster runs hold memory flat in the op count.  Only
 the harnesses that replay per-read demands collect them.  Background
-work (page-cache write-back) is recorded in detached spans that
+work (page-cache write-back) is recorded in detached traces that
 nothing keeps either.
 """
 
@@ -82,7 +82,7 @@ def _ambient_stages_after(name: str, pairs: int) -> int:
     """Ambient stage count after ``pairs`` write+read pairs.
 
     The writes dirty pages across a file larger than the page cache,
-    so evictions write back in detached spans mid-request.
+    so evictions write back in detached traces mid-request.
     """
     system = build_system(name, small_sim_config())
     file_bytes = 4 * MIB
@@ -93,7 +93,7 @@ def _ambient_stages_after(name: str, pairs: int) -> int:
         offset = (index * 7_919 * page) % file_bytes
         system.write(fd, offset, b"x" * 128)
         system.read(fd, offset + 256, 64)
-    return sum(1 for _ in system.tracer.ambient.walk())
+    return len(system.tracer.ambient.stages)
 
 
 @pytest.mark.parametrize("name", ["block-io", "pipette"])

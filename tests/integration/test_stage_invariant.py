@@ -5,7 +5,7 @@ One record, several derived views — so for any workload:
 1. each read's recorded latency equals its trace's critical-path sum
    (the LatencyRecorder is fed from the trace, so totals must match);
 2. folding the charged stages of *all* traces (finished requests,
-   detached background spans and the ambient trace) reproduces the
+   detached background traces and the ambient trace) reproduces the
    ResourceModel busy totals exactly — for the device systems and for
    a served multi-tenant run, whether the sanitizer is on or off;
 3. each read and write hands back its trace's queueing demand as
@@ -23,7 +23,7 @@ import pytest
 from repro.config import KIB, MIB
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
 from repro.serve.server import ServeConfig, StorageServer, TenantSpec
-from repro.sim.trace import HOST, PCIE, Tracer, fold_charges, parse_channel
+from repro.sim.trace import HOST, NAND, PCIE, Tracer
 from repro.system import available_systems, build_system
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 from repro.workloads.ycsb import YcsbConfig, ycsb_trace
@@ -64,49 +64,56 @@ def _mixed_workload(system, after_op) -> None:
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every root trace and detached span, in the order they open.
+    """Every root and detached trace, in the order they open.
 
     ``Tracer.begin`` opens only roots and ``Tracer.detached`` only
-    background spans; nothing in the system keeps either.
+    background traces; nothing in the system keeps either.
     """
     roots: list = []
-    detached_spans: list = []
+    detached_traces: list = []
     begin = Tracer.begin
     detached = Tracer.detached
 
-    def collecting_begin(tracer, trace_name, **meta):
-        root = begin(tracer, trace_name, **meta)
+    def collecting_begin(tracer, trace_name):
+        root = begin(tracer, trace_name)
         roots.append(root)
         return root
 
     @contextmanager
-    def collecting_detached(tracer, span_name, **meta):
-        with detached(tracer, span_name, **meta) as span:
-            detached_spans.append(span)
-            yield span
+    def collecting_detached(tracer, trace_name):
+        with detached(tracer, trace_name) as trace:
+            detached_traces.append(trace)
+            yield trace
 
     monkeypatch.setattr(Tracer, "begin", collecting_begin)
     monkeypatch.setattr(Tracer, "detached", collecting_detached)
-    return roots, detached_spans
+    return roots, detached_traces
 
 
 def assert_ledger_is_fold(traces, resources) -> None:
-    """The ledger's busy totals equal the folded charges of ``traces``."""
-    totals = fold_charges(traces)
+    """The ledger's busy totals equal the folded charged stages of ``traces``."""
+    host = pcie = 0.0
     per_channel = [0.0] * resources.channels
-    for resource, ns in totals.items():
-        index = parse_channel(resource)
-        if index is not None:
-            per_channel[index] += ns
-    assert totals.get(HOST, 0.0) == pytest.approx(resources.host_busy_ns, rel=1e-12)
-    assert totals.get(PCIE, 0.0) == pytest.approx(resources.pcie_busy_ns, rel=1e-12)
+    for trace in traces:
+        for stage in trace.stages:
+            if not stage.charged:
+                continue
+            assert stage.resource != NAND
+            if stage.resource == HOST:
+                host += stage.ns
+            elif stage.resource == PCIE:
+                pcie += stage.ns
+            else:
+                per_channel[stage.resource] += stage.ns
+    assert host == pytest.approx(resources.host_busy_ns, rel=1e-12)
+    assert pcie == pytest.approx(resources.pcie_busy_ns, rel=1e-12)
     for index, busy in enumerate(resources.channel_busy_ns):
         assert per_channel[index] == pytest.approx(busy, rel=1e-12, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", available_systems())
 def test_stage_trace_invariants(name, recorded):
-    roots, detached_spans = recorded
+    roots, detached_traces = recorded
     system = build_system(name, small_sim_config())
 
     # (3) One demand per read and write, handed over, not kept.
@@ -126,7 +133,7 @@ def test_stage_trace_invariants(name, recorded):
 
     # (2) The ledger is a pure fold of the recorded stages.
     assert_ledger_is_fold(
-        roots + detached_spans + [system.tracer.ambient], system.device.resources
+        roots + detached_traces + [system.tracer.ambient], system.device.resources
     )
 
     # (4) The anatomy view sums back to the same mean.
@@ -141,9 +148,9 @@ def test_served_ledger_is_a_fold_of_the_traces(name, recorded):
     """(2) on the serve path: two tenants, reads and read-modify-writes.
 
     A small page cache makes block-io's dirty pages write back in
-    detached spans mid-run.
+    detached traces mid-run.
     """
-    roots, detached_spans = recorded
+    roots, detached_traces = recorded
     base = small_sim_config()
     sim_config = base.scaled(
         cache=replace(base.cache, shared_memory_bytes=256 * KIB, fgrc_bytes=128 * KIB)
@@ -162,7 +169,7 @@ def test_served_ledger_is_a_fold_of_the_traces(name, recorded):
     system = server.system
     assert system.reads > 0 and system.writes > 0
     if name == "block-io":
-        assert detached_spans
+        assert detached_traces
     assert_ledger_is_fold(
-        roots + detached_spans + [system.tracer.ambient], system.device.resources
+        roots + detached_traces + [system.tracer.ambient], system.device.resources
     )

@@ -7,6 +7,7 @@ from repro.kernel.block_layer import BlockLayer, BlockRequest
 from repro.kernel.driver import NvmeDriver
 from repro.ssd.device import SSDDevice
 from repro.ssd.nand import page_pattern
+from tests.conftest import root_trace
 
 
 @pytest.fixture
@@ -20,10 +21,11 @@ def driver():
 
 def test_read_pages_returns_contents(driver):
     requests = BlockLayer().build_requests([3, 4, 10])
-    pages, latency = driver.read_pages(requests)
+    with root_trace(driver.device.tracer) as trace:
+        pages = driver.read_pages(requests)
     assert pages[3] == page_pattern(3)
     assert pages[10] == page_pattern(10)
-    assert latency > 0
+    assert trace.latency_ns() > 0
 
 
 def test_commands_counted_via_queue(driver):
@@ -34,20 +36,22 @@ def test_commands_counted_via_queue(driver):
 
 def test_background_lbas_passed_through(driver):
     requests = [BlockRequest(0, 1)]
-    pages, _ = driver.read_pages(requests, background_lbas=[1, 2])
+    pages = driver.read_pages(requests, background_lbas=[1, 2])
     assert set(pages) == {0, 1, 2}
     assert driver.device.traffic.device_to_host_bytes == 3 * 4096
 
 
 def test_write_pages_roundtrip(driver):
     payload = bytes([7]) * 4096
-    latency = driver.write_pages([(9, payload)])
-    assert latency > 0
-    pages, _ = driver.read_pages([BlockRequest(9, 1)])
+    with root_trace(driver.device.tracer) as trace:
+        driver.write_pages([(9, payload)])
+    assert trace.latency_ns() > 0
+    pages = driver.read_pages([BlockRequest(9, 1)])
     assert pages[9] == payload
 
 
 def test_empty_request_list(driver):
-    pages, latency = driver.read_pages([])
+    with root_trace(driver.device.tracer) as trace:
+        pages = driver.read_pages([])
     assert pages == {}
-    assert latency == 0.0
+    assert trace.latency_ns() == 0.0

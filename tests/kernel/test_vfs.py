@@ -8,6 +8,7 @@ from repro.kernel.page_cache import PageCache
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR, BlockReadPath, FileTable
 from repro.ssd.device import SSDDevice
 from repro.ssd.nand import page_pattern
+from tests.conftest import root_trace
 
 
 @pytest.fixture
@@ -42,24 +43,27 @@ def expected_bytes(fs, inode, offset, size):
 
 
 def test_read_returns_preimage(stack):
-    _, fs, _, path, entry = stack
-    data, latency = path.read(entry, 100, 300)
+    device, fs, _, path, entry = stack
+    with root_trace(device.tracer) as trace:
+        data = path.read(entry, 100, 300)
     assert data == expected_bytes(fs, entry.inode, 100, 300)
-    assert latency > 0
+    assert trace.latency_ns() > 0
 
 
 def test_read_page_crossing(stack):
     _, fs, _, path, entry = stack
-    data, _ = path.read(entry, 4090, 100)
+    data = path.read(entry, 4090, 100)
     assert data == expected_bytes(fs, entry.inode, 4090, 100)
 
 
 def test_second_read_hits_page_cache(stack):
     device, _, page_cache, path, entry = stack
-    _, cold = path.read(entry, 0, 128)
+    with root_trace(device.tracer) as cold:
+        path.read(entry, 0, 128)
     traffic_after_first = device.traffic.device_to_host_bytes
-    _, warm = path.read(entry, 0, 128)
-    assert warm < cold
+    with root_trace(device.tracer) as warm:
+        path.read(entry, 0, 128)
+    assert warm.latency_ns() < cold.latency_ns()
     assert device.traffic.device_to_host_bytes == traffic_after_first
     assert page_cache.counter.hits >= 1
 
@@ -67,7 +71,7 @@ def test_second_read_hits_page_cache(stack):
 def test_write_then_read_sees_new_data(stack):
     _, _, _, path, entry = stack
     path.write(entry, 500, b"NEWDATA!")
-    data, _ = path.read(entry, 498, 12)
+    data = path.read(entry, 498, 12)
     assert data[2:10] == b"NEWDATA!"
 
 
@@ -79,7 +83,7 @@ def test_write_marks_dirty_and_fsync_flushes(stack):
     assert not page_cache.dirty_pages(entry.inode.ino)
     # Data is durable: drop the cache and re-read from flash.
     page_cache.invalidate_file(entry.inode.ino)
-    data, _ = path.read(entry, 0, 10)
+    data = path.read(entry, 0, 10)
     assert data == b"Z" * 10
 
 
@@ -91,7 +95,7 @@ def test_dirty_eviction_writes_back(stack):
     page_cache.set_capacity(page_cache.page_size)
     path.read(entry, 8192, 16)
     assert page_cache.peek(entry.inode.ino, 0) is None
-    data, _ = path.read(entry, 0, 10)
+    data = path.read(entry, 0, 10)
     assert data == b"Q" * 10
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.sim import sanitize
 from repro.sim.resources import ResourceModel
 from repro.sim.sanitize import SanitizeError, SimSanitizer
-from repro.sim.trace import Stage, Tracer
+from repro.sim.trace import Tracer
 from tests.conftest import make_open_file, small_sim_config
 
 
@@ -40,24 +40,33 @@ def test_clean_request_passes() -> None:
     with SimSanitizer():
         tracer.begin("read")
         tracer.host("fine_stack", 10.0)
-        with tracer.span("device"):
-            tracer.channel(1, "tR", 50.0)
-            tracer.pcie("xfer", 5.0)
+        tracer.channel(1, "tR", 50.0)
+        tracer.pcie("xfer", 5.0)
         with tracer.detached("writeback"):
             tracer.pcie("flush", 3.0)
         trace = tracer.end()
     # channel() stages are off the QD-1 path by default; host + pcie remain.
     assert trace.latency_ns() == 15.0
-    assert trace.charges() == {"host": 10.0, "channel:1": 50.0, "pcie": 5.0}
+    demand = trace.demand()
+    assert (demand.host_ns, demand.nand_ns, demand.channel, demand.pcie_ns) == (
+        10.0,
+        50.0,
+        1,
+        5.0,
+    )
+    # The detached flush still occupied the link.
+    assert resources.pcie_busy_ns == 8.0
 
 
 def test_nan_and_negative_stage_durations_rejected() -> None:
+    tracer = Tracer(ResourceModel())
     with pytest.raises(ValueError, match="non-finite"):
-        Stage("host", "bad", float("nan"))
+        tracer.host("bad", float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
-        Stage("host", "bad", float("inf"))
+        tracer.host("bad", float("inf"))
     with pytest.raises(ValueError, match="negative"):
-        Stage("host", "bad", -1.0)
+        tracer.host("bad", -1.0)
+    assert tracer.ambient.stages == []
 
 
 def test_full_system_runs_sanitized() -> None:

@@ -5,6 +5,7 @@ import pytest
 from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
 from repro.ssd.device import SSDDevice, _contiguous_runs
 from repro.ssd.nand import page_pattern
+from tests.conftest import root_trace
 
 
 def make_device(**overrides) -> SSDDevice:
@@ -26,9 +27,9 @@ def test_contiguous_runs_merging():
 
 def test_block_read_returns_pattern_pages():
     device = make_device()
-    result = device.block_read([10, 11])
-    assert result.pages[10] == page_pattern(10)
-    assert result.pages[11] == page_pattern(11)
+    pages = device.block_read([10, 11])
+    assert pages[10] == page_pattern(10)
+    assert pages[11] == page_pattern(11)
 
 
 def test_block_read_meters_traffic_per_page():
@@ -40,32 +41,37 @@ def test_block_read_meters_traffic_per_page():
 def test_block_read_latency_components():
     device = make_device()
     timing = device.config.timing
-    single = device.block_read([0]).latency_ns
+    with root_trace(device.tracer) as trace:
+        device.block_read([0])
     expected_nand = (
         timing.nand_read(device.config.ssd.nand_type)
         + timing.channel_xfer_page_ns
         + timing.block_page_penalty_ns
     )
     expected = expected_nand + timing.pcie_transfer_ns(4096) + timing.completion_ns
-    assert single == pytest.approx(expected)
+    assert trace.latency_ns() == pytest.approx(expected)
 
 
 def test_block_read_parallelizes_across_channels():
     device = make_device()
     # 8 pages on 8 distinct channels: one array round.
-    one_round = device.block_read(list(range(8))).latency_ns
+    with root_trace(device.tracer) as one_round:
+        device.block_read(list(range(8)))
     device2 = make_device()
     # 9 pages: two rounds.
-    two_rounds = device2.block_read(list(range(9))).latency_ns
-    assert two_rounds > one_round
+    with root_trace(device2.tracer) as two_rounds:
+        device2.block_read(list(range(9)))
+    assert two_rounds.latency_ns() > one_round.latency_ns()
 
 
 def test_background_pages_add_traffic_not_latency():
     plain = make_device()
     with_ra = make_device()
-    base = plain.block_read([0]).latency_ns
-    result = with_ra.block_read([0], background_lbas=[1, 2, 3])
-    assert result.latency_ns == pytest.approx(base)
+    with root_trace(plain.tracer) as base:
+        plain.block_read([0])
+    with root_trace(with_ra.tracer) as trace:
+        with_ra.block_read([0], background_lbas=[1, 2, 3])
+    assert trace.latency_ns() == pytest.approx(base.latency_ns())
     assert with_ra.traffic.device_to_host_bytes == 4 * 4096
     assert with_ra.resources.nand_total_ns > plain.resources.nand_total_ns
 
@@ -73,9 +79,10 @@ def test_background_pages_add_traffic_not_latency():
 def test_block_write_ack_from_buffer():
     device = make_device()
     timing = device.config.timing
-    latency = device.block_write([(5, bytes(4096))])
+    with root_trace(device.tracer) as trace:
+        device.block_write([(5, bytes(4096))])
     # Acked after transfer + completion; NAND program is background.
-    assert latency == pytest.approx(timing.pcie_transfer_ns(4096) + timing.completion_ns)
+    assert trace.latency_ns() == pytest.approx(timing.pcie_transfer_ns(4096) + timing.completion_ns)
     assert device.resources.nand_total_ns > 0
 
 
@@ -83,7 +90,7 @@ def test_write_then_read_roundtrip():
     device = make_device()
     payload = bytes([0x42]) * 4096
     device.block_write([(5, payload)])
-    assert device.block_read([5]).pages[5] == payload
+    assert device.block_read([5])[5] == payload
 
 
 def test_block_write_requires_full_pages():
@@ -109,8 +116,7 @@ def test_enable_hmb_once():
 
 def test_transfer_data_false_skips_payloads():
     device = make_device(transfer_data=False)
-    result = device.block_read([0])
-    assert result.pages[0] is None
+    assert device.block_read([0])[0] is None
     assert device.traffic.device_to_host_bytes == 4096
 
 

@@ -65,7 +65,7 @@ def test_retries_slow_down_reads_but_stay_correct():
     faulty_device = SSDDevice(make_config(0.2, retries=10))
     clean = clean_device.block_read([0, 1, 2, 3, 4, 5, 6, 7])
     faulty = faulty_device.block_read([0, 1, 2, 3, 4, 5, 6, 7])
-    assert faulty.pages == clean.pages  # data recovered exactly
+    assert faulty == clean  # data recovered exactly
     assert faulty_device.controller.read_retries > 0
     assert faulty_device.resources.nand_total_ns > clean_device.resources.nand_total_ns
 

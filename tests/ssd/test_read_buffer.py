@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
 from repro.ssd.device import SSDDevice
+from tests.conftest import root_trace
 
 
 def make_device(read_buffer_hits: bool) -> SSDDevice:
@@ -62,6 +63,8 @@ def test_write_invalidates_buffered_page():
 
 def test_timing_model_unchanged_when_disabled():
     baseline = make_device(read_buffer_hits=False)
-    first = baseline.block_read([7]).latency_ns
-    second = baseline.block_read([7]).latency_ns
-    assert first == pytest.approx(second)
+    with root_trace(baseline.tracer) as first:
+        baseline.block_read([7])
+    with root_trace(baseline.tracer) as second:
+        baseline.block_read([7])
+    assert first.latency_ns() == pytest.approx(second.latency_ns())
