@@ -5,7 +5,7 @@ run — tenants (reusing :class:`repro.serve.server.TenantSpec`), server
 count, replication factor, vnode ring seed, replica policy, per-server
 interconnect backend, arbitration, fault schedule, seed.  Same config +
 seed => byte-identical :class:`~repro.cluster.metrics.ClusterResult`,
-faults included; :func:`repro.sim.racecheck.perturbed` proves it by
+faults included; :func:`repro.sim.perturb.perturbed` proves it by
 re-running under seeded tie-break shuffles, exactly as it does for one
 server.
 
@@ -36,8 +36,6 @@ from repro.config import SimConfig
 from repro.serve.engine import EventLoop
 from repro.serve.qos import SHED
 from repro.serve.server import StorageNode, TenantSpec, validate_tenants
-from repro.sim import racecheck as racecheck_mod
-from repro.sim.racecheck import RaceChecker
 
 
 @dataclass(frozen=True)
@@ -118,14 +116,10 @@ class Cluster:
         config: ClusterConfig,
         sim_config: SimConfig | None = None,
         *,
-        racecheck: RaceChecker | None = None,
         tiebreak_seed: int | None = None,
     ) -> None:
         self.config = config
-        if racecheck is None and racecheck_mod.active():
-            racecheck = RaceChecker()
-        self.racecheck = racecheck
-        self.loop = EventLoop(racecheck=racecheck, tiebreak_seed=tiebreak_seed)
+        self.loop = EventLoop(tiebreak_seed=tiebreak_seed)
         self.ring = HashRing(
             config.server_names,
             vnodes=config.vnodes,
@@ -140,7 +134,6 @@ class Cluster:
             self.policy,
             config.tenants,
             seed=config.seed,
-            racecheck=racecheck,
         )
         base_sim = sim_config or SimConfig()
         overrides = dict(config.backend_overrides)
@@ -155,7 +148,6 @@ class Cluster:
                 arbitration=config.arbitration,
                 max_inflight=config.max_inflight_per_server,
                 fine_grained=config.fine_grained,
-                racecheck=racecheck,
                 on_dispatch=self.router.on_attempt_dispatched,
                 on_complete=self.router.on_attempt_done,
                 prefix=f"{name}:",
@@ -213,13 +205,10 @@ def run_cluster(
     config: ClusterConfig,
     sim_config: SimConfig | None = None,
     *,
-    racecheck: RaceChecker | None = None,
     tiebreak_seed: int | None = None,
 ) -> ClusterResult:
     """Convenience one-shot: build a cluster, run it, return the result."""
-    return Cluster(
-        config, sim_config, racecheck=racecheck, tiebreak_seed=tiebreak_seed
-    ).run()
+    return Cluster(config, sim_config, tiebreak_seed=tiebreak_seed).run()
 
 
 __all__ = [

@@ -51,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.ring import HashRing
     from repro.serve.engine import EventLoop, ScheduledEvent
     from repro.serve.server import StorageNode, TenantSpec
-    from repro.sim.racecheck import RaceChecker
 
 
 class Request:
@@ -124,20 +123,6 @@ class Attempt:
         return self.request.order_key + (self.index,)
 
 
-def _router_ops_commute(op_a: str, op_b: str) -> bool:
-    """Wave-phase router operations that commute.
-
-    ``submit`` appends to a buffer the settler sorts by tenant slot and
-    per-tenant submission count; ``complete`` touches per-request state
-    (same-timestamp completions of one request resolve by the
-    prefer-primary rule) and counters that only increment/decrement;
-    ``hedge-due`` marks a flag the settler reads after the wave.  ``route`` happens only in the settle phase, which
-    the checker already fences.
-    """
-    commuting = {"submit", "complete", "hedge-due"}
-    return op_a in commuting and op_b in commuting
-
-
 class Router:
     """Consistent-hash front end over the cluster's nodes.
 
@@ -156,13 +141,11 @@ class Router:
         tenants: tuple["TenantSpec", ...],
         *,
         seed: int,
-        racecheck: "RaceChecker | None" = None,
     ) -> None:
         self.loop = loop
         self.ring = ring
         self.nodes: dict[str, "StorageNode"] = {}
         self.policy = policy
-        self.racecheck = racecheck
         #: Router-visible load per server: attempts issued minus
         #: attempts completed or cancelled (what least-outstanding and
         #: hedge-target selection read).
@@ -173,11 +156,9 @@ class Router:
         self._issued: list[Attempt] = []
         self.tenants: list[Tenant] = []
         for index, spec in enumerate(tenants):
-            tenant = Tenant(spec, index, seed, ClusterTenantMetrics(spec.name), racecheck)
+            tenant = Tenant(spec, index, seed, ClusterTenantMetrics(spec.name))
             self.tenants.append(tenant)
             tenant.client.bind(loop, self._make_submit(tenant))
-        if racecheck is not None:
-            racecheck.track(self, "router", commutes=_router_ops_commute)
         self._wake = loop.add_settler(self._settle)
 
     # --- clients -------------------------------------------------------
@@ -190,8 +171,6 @@ class Router:
         metrics = tenant.metrics
 
         def submit(op: Op) -> None:
-            if self.racecheck is not None:
-                self.racecheck.access(self, "write", "submit")
             metrics.submitted += 1
             key = f"{op.path}@{op.offset}"
             request = Request(
@@ -224,8 +203,6 @@ class Router:
         return True
 
     def _route(self, request: Request) -> None:
-        if self.racecheck is not None:
-            self.racecheck.access(self, "write", "route")
         metrics = request.tenant.metrics
         if request.is_write:
             # Write-all: one attempt per replica, complete on the last.
@@ -255,8 +232,6 @@ class Router:
 
     def _make_hedge_timer(self, request: Request):
         def hedge_due() -> None:
-            if self.racecheck is not None:
-                self.racecheck.access(self, "write", "hedge-due")
             request.hedge_event = None
             if request.satisfied_ns is None and not request.hedge_due:
                 request.hedge_due = True
@@ -287,8 +262,6 @@ class Router:
         attempt.dispatched = True
 
     def on_attempt_done(self, attempt: Attempt, end_ns: float) -> None:
-        if self.racecheck is not None:
-            self.racecheck.access(self, "write", "complete")
         self.outstanding[attempt.server] -= 1
         request = attempt.request
         metrics = request.tenant.metrics
@@ -323,12 +296,8 @@ class Router:
         metrics = request.tenant.metrics
         metrics.completed += 1
         latency_ns = end_ns - request.submit_ns
-        if self.racecheck is not None:
-            self.racecheck.access(metrics.latency, "write", "record")
         metrics.latency.record(latency_ns)
         if not request.is_write:
-            if self.racecheck is not None:
-                self.racecheck.access(metrics.read_latency, "write", "record")
             metrics.read_latency.record(latency_ns)
         request.tenant.client.on_done(request.op, completed=True)
 

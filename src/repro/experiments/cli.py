@@ -58,6 +58,9 @@ EXPERIMENTS = {
     "cluster": cluster.run,
 }
 
+#: Experiments whose ``run`` takes ``perturb=`` (the event-loop ones).
+PERTURBABLE = {"serving", "cluster"}
+
 #: Order that reuses memoized suites (synthetic uniform/zipfian, apps).
 ALL_ORDER = [
     "fig5",
@@ -112,18 +115,12 @@ def main(argv: list[str] | None = None) -> int:
         help="append every rendered report to FILE as well as stdout",
     )
     parser.add_argument(
-        "--racecheck",
+        "--perturb",
         action="store_true",
-        help="attach the happens-before race checker to every serving "
-        "run and add the tie-break perturbation pass (also: "
-        "REPRO_RACECHECK=1)",
+        help="add the tie-break perturbation pass to the serving and "
+        "cluster experiments",
     )
     args = parser.parse_args(argv)
-
-    if args.racecheck:
-        from repro.sim import racecheck
-
-        racecheck.enable()
 
     if args.list:
         for name in ALL_ORDER:
@@ -143,7 +140,10 @@ def main(argv: list[str] | None = None) -> int:
         # Wall-clock here is progress reporting for the human running
         # the CLI; no simulated result depends on it.
         started = time.time()  # simlint: allow[virtual-time-purity]
-        outcome = EXPERIMENTS[name](scale)
+        if args.perturb and name in PERTURBABLE:
+            outcome = EXPERIMENTS[name](scale, perturb=True)
+        else:
+            outcome = EXPERIMENTS[name](scale)
         elapsed = time.time() - started  # simlint: allow[virtual-time-purity]
         print(outcome.report)
         print(f"[{name} done in {elapsed:.1f}s wall clock]\n")

@@ -15,14 +15,14 @@ amplification**: ``p99.9(fault) / p99.9(no fault)`` per policy —
 primary-only eats the whole fault on every key the sick server owns,
 hedging caps it at roughly one hedge delay.
 
-Same scale + seeds => byte-identical results; ``--racecheck`` adds the
-happens-before checker plus a seeded tie-break perturbation pass per
-policy, with the full fault schedule active.
+Same scale + seeds => byte-identical results; ``--perturb`` adds a
+seeded tie-break perturbation pass per policy, with the full fault
+schedule active.
 
 Usage::
 
     pipette-repro cluster --scale small
-    python -m repro.experiments.cluster --smoke --racecheck   # CI smoke
+    python -m repro.experiments.cluster --smoke --perturb   # CI smoke
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.experiments.runner import order_independence
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.serve.qos import TenantQoS
 from repro.serve.server import TenantSpec
-from repro.sim import racecheck as racecheck_mod
 from repro.workloads.socialgraph import SocialGraphConfig, social_graph_trace
 
 TITLE = "Cluster: tail amplification by replica-read policy x fault type"
@@ -222,11 +221,11 @@ def _amplification(results: dict[str, dict[str, ClusterResult]]) -> dict[str, di
     return out
 
 
-#: Tie-break shuffle seeds for the perturbation pass (``--racecheck``).
+#: Tie-break shuffle seeds for the perturbation pass (``--perturb``).
 PERTURBATION_SEEDS = tuple(range(1, 5))
 
 
-def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
+def run(scale: ExperimentScale | None = None, *, perturb: bool = False) -> ExperimentOutcome:
     scale = scale or get_scale()
     sim_config = scale.sim_config()
     ops = scale.sweep_requests
@@ -273,17 +272,15 @@ def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
         "hedge_delay_ns": HEDGE_DELAY_NS,
         "horizon_ns": horizon_ns,
     }
-    if racecheck_mod.active():
-        # Race-check + tie-break-perturb every policy with faults active;
-        # the stall scenario exercises the most machinery: gated pumps,
-        # ring backlog, hedges racing recovery.
+    if perturb:
+        # Tie-break-perturb every policy with faults active; the stall
+        # scenario exercises the most machinery: gated pumps, ring
+        # backlog, hedges racing recovery.
         faults = fault_schedule("server-stall", horizon_ns)
-        table, extra["racecheck"] = order_independence(
+        table, extra["perturbation"] = order_independence(
             "policy",
             {policy: cluster_config(tenants, policy, faults) for policy in POLICY_ORDER},
-            lambda cluster, checker, seed: run_cluster(
-                cluster, sim_config, racecheck=checker, tiebreak_seed=seed
-            ),
+            lambda cluster, seed: run_cluster(cluster, sim_config, tiebreak_seed=seed),
             PERTURBATION_SEEDS,
         )
         report += "\n\n" + table
@@ -313,16 +310,13 @@ def main(argv: list[str] | None = None) -> int:
         help="scaling preset (ignored with --smoke; default: $REPRO_SCALE)",
     )
     parser.add_argument(
-        "--racecheck",
+        "--perturb",
         action="store_true",
-        help="attach the race checker and run the tie-break perturbation "
-        "pass (also: REPRO_RACECHECK=1)",
+        help="add the tie-break perturbation pass",
     )
     args = parser.parse_args(argv)
-    if args.racecheck:
-        racecheck_mod.enable()
     scale = get_scale("tiny") if args.smoke else get_scale(args.scale)
-    print(run(scale).report)
+    print(run(scale, perturb=args.perturb).report)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Trace execution harness: drive one trace through one or all systems.
 
 Also the one order-independence check the event-loop experiments run
-under ``--racecheck``.
+under ``--perturb``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from repro.analysis.metrics import SYSTEM_ORDER, WorkloadComparison
 from repro.analysis.report import text_table
 from repro.config import SimConfig
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
-from repro.sim.racecheck import RaceChecker, perturbed, result_digest
+from repro.sim.perturb import perturbed
 from repro.system import StorageSystem, SystemResult, build_system
 from repro.workloads.trace import ReadOp, Trace
 
@@ -81,54 +81,35 @@ def run_comparison(
 def order_independence(
     key: str,
     configs: dict[str, Any],
-    run: Callable[[Any, RaceChecker | None, int | None], Any],
+    run: Callable[[Any, int | None], Any],
     seeds: tuple[int, ...],
 ) -> tuple[str, dict[str, dict]]:
-    """Race-check and tie-break-perturb each config; ``RuntimeError`` on drift.
+    """Tie-break-perturb each config; ``RuntimeError`` on drift.
 
-    ``run(config, racecheck, tiebreak_seed)`` builds and runs a fresh
-    program.  Each config runs once with a :class:`RaceChecker`
-    attached (a race raises :class:`~repro.sim.racecheck.RaceError`
-    from inside the run), then under
-    :func:`~repro.sim.racecheck.perturbed` over ``seeds``.  Returns the
-    report table (one row per ``key`` label) and the raw records.
+    ``run(config, tiebreak_seed)`` builds and runs a fresh program;
+    :func:`~repro.sim.perturb.perturbed` runs each config unperturbed
+    and once per seed in ``seeds``.  A drift raises with the report,
+    which names the first result leaf that moved.  Returns the report
+    table (one row per ``key`` label) and the raw records.
     """
     rows: list[list[str]] = []
     raw: dict[str, dict] = {}
     for label, config in configs.items():
-        checker = RaceChecker()
-        checked = run(config, checker, None)
-        report = perturbed(lambda seed: run(config, None, seed), seeds)
+        report = perturbed(lambda seed: run(config, seed), seeds)
         if not report.identical:
             raise RuntimeError(
                 f"result depends on the event tie-break ({key}={label}): {report.render()}"
             )
-        races = len(checker.races)
-        rows.append(
-            [
-                label,
-                f"{checker.events_tracked}",
-                f"{checker.accesses_checked}",
-                f"{races}",
-                f"{len(report.digests)}",
-                "yes",
-            ]
-        )
+        rows.append([label, f"{len(report.digests)}", "yes", report.baseline_digest[:16]])
         raw[label] = {
-            "events_tracked": checker.events_tracked,
-            "accesses_checked": checker.accesses_checked,
-            "races": races,
-            "checked_digest": result_digest(checked),
-            "perturbation": {
-                "baseline_digest": report.baseline_digest,
-                "digests": {str(seed): d for seed, d in sorted(report.digests.items())},
-                "identical": report.identical,
-            },
+            "baseline_digest": report.baseline_digest,
+            "digests": {str(seed): d for seed, d in sorted(report.digests.items())},
+            "identical": report.identical,
         }
     table = text_table(
-        [key, "events", "accesses", "races", "seeds", "identical"],
+        [key, "seeds", "identical", "baseline sha"],
         rows,
-        title="Order independence: happens-before races + tie-break perturbation",
+        title="Order independence: tie-break perturbation",
     )
     return table, raw
 

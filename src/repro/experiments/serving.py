@@ -25,7 +25,6 @@ from repro.experiments.runner import order_independence
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.serve.qos import SHED, TenantQoS
 from repro.serve.server import ServeConfig, TenantSpec, serve
-from repro.sim import racecheck as racecheck_mod
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 
 TITLE = "Multi-tenant serving: NVMe MQ arbitration + per-tenant QoS"
@@ -148,12 +147,12 @@ def _qos_ablation(scale: ExperimentScale, config) -> tuple[list[list[str]], dict
     return rows, raw
 
 
-#: Tie-break shuffle seeds for the perturbation pass (``--racecheck``).
+#: Tie-break shuffle seeds for the perturbation pass (``--perturb``).
 PERTURBATION_SEEDS = tuple(range(1, 9))
 
 
-def _race_config(scale: ExperimentScale, arbitration: str) -> ServeConfig:
-    """The arbitration smoke config the ``--racecheck`` pass checks."""
+def _perturb_config(scale: ExperimentScale, arbitration: str) -> ServeConfig:
+    """The arbitration smoke config the ``--perturb`` pass checks."""
     ops = scale.sweep_requests
     return ServeConfig(
         tenants=(
@@ -170,7 +169,7 @@ def _race_config(scale: ExperimentScale, arbitration: str) -> ServeConfig:
     )
 
 
-def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
+def run(scale: ExperimentScale | None = None, *, perturb: bool = False) -> ExperimentOutcome:
     scale = scale or get_scale()
     config = scale.sim_config()
     arbitration_rows, arbitration_raw = _arbitration_sweep(scale, config)
@@ -194,14 +193,12 @@ def run(scale: ExperimentScale | None = None) -> ExperimentOutcome:
         title="QoS ablation: open-loop interactive vs greedy batch (WRR)",
     )
     extra = {"arbitration": arbitration_raw, "ablation": ablation_raw}
-    if racecheck_mod.active():
-        # Race-check + tie-break-perturb the arbitration smoke config.
-        table, extra["racecheck"] = order_independence(
+    if perturb:
+        # Tie-break-perturb the arbitration smoke config.
+        table, extra["perturbation"] = order_independence(
             "arb",
-            {arbitration: _race_config(scale, arbitration) for arbitration in ("rr", "wrr")},
-            lambda serve_config, checker, seed: serve(
-                serve_config, config, racecheck=checker, tiebreak_seed=seed
-            ),
+            {arbitration: _perturb_config(scale, arbitration) for arbitration in ("rr", "wrr")},
+            lambda serve_config, seed: serve(serve_config, config, tiebreak_seed=seed),
             PERTURBATION_SEEDS,
         )
         report += "\n\n" + table

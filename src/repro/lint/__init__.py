@@ -21,10 +21,11 @@ feature.  This package makes the discipline machine-checked:
 - ``python -m repro.lint`` is the CLI that CI gates on.
 
 The static rules cover only what nothing at runtime enforces.  Order
-independence is checked dynamically: the happens-before race detector
-(:mod:`repro.sim.racecheck`, ``REPRO_RACECHECK=1``) plus seeded
-tie-break perturbation, and :class:`repro.serve.engine.FifoResource`
-rejects an unkeyed acquire while the loop runs.  The sanitizer
+independence is enforced by construction — contended decisions wait
+for the settle phase, and :class:`repro.serve.engine.FifoResource`
+rejects an unkeyed acquire while the loop runs — and checked by seeded
+tie-break perturbation (:mod:`repro.sim.perturb`), which compares whole
+results across shuffled same-timestamp event orders.  The sanitizer
 (:mod:`repro.sim.sanitize`, ``REPRO_SANITIZE=1``) turns a lost event-loop
 wakeup into an error, and the device-backend base classes check their
 subclasses' surface at class creation.  See ``docs/LINTING.md``.

@@ -4,7 +4,8 @@ PR 3 made the simulator concurrent: many tenants' events interleave on
 one virtual-time loop, and the determinism contract ("same config +
 seed => byte-identical result") now depends on every handler treating
 shared engine state with care.  Two rules guard the contract
-statically; the runtime side is :mod:`repro.sim.racecheck`.
+statically; the runtime side is seeded tie-break perturbation
+(:mod:`repro.sim.perturb`).
 
 - ``shared-state-mutation`` — engine/ring/bucket state (``now_ns``,
   ``tokens``, FIFO internals...) is only mutated by its owning class

@@ -18,7 +18,7 @@ Determinism contract
   order.  ``tie`` is 0 in normal operation; the perturbation harness
   (``tiebreak_seed``) fills it with seeded uniforms to *shuffle* the
   order of simultaneous events — a correct program's results must not
-  change (see :mod:`repro.sim.racecheck`).  The heap holds
+  change (see :mod:`repro.sim.perturb`).  The heap holds
   ``(time_ns, tie, seq, event)`` tuples; ``seq`` is unique, so the
   tuple compare never reaches the event object.
 - Each virtual timestamp runs a *wave* (every event at that time) and
@@ -41,9 +41,14 @@ Determinism contract
   ordering and is itself seeded.
 - ``schedule`` rejects non-finite and negative delays: one NaN
   poisons every later timestamp.
-- With a :class:`~repro.sim.racecheck.RaceChecker` attached, every
-  event carries its scheduling ancestry and registered shared objects
-  verify that simultaneous accesses commute or are causally ordered.
+
+Order independence is built in, not checked per access: contended
+decisions wait for the settle phase, :class:`FifoResource` admits a
+wave's arrivals by their stable keys (an unkeyed acquire while the
+loop runs is a ``ValueError``), and the sanitizer catches a lost
+wakeup.  Whether a whole program kept the contract is what
+:func:`repro.sim.perturb.perturbed` checks: same result digest under
+every seeded tie-break.
 """
 
 from __future__ import annotations
@@ -53,27 +58,19 @@ import itertools
 import math
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.sim import sanitize
-from repro.sim.racecheck import WRITE
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.racecheck import EventInfo, RaceChecker
 
 
 class ScheduledEvent:
     """Handle for a pending callback; ``cancel()`` to drop it."""
 
-    __slots__ = ("callback", "cancelled", "origin")
+    __slots__ = ("callback", "cancelled")
 
-    def __init__(
-        self, callback: Callable[[], None], origin: "EventInfo | None" = None
-    ) -> None:
+    def __init__(self, callback: Callable[[], None]) -> None:
         self.callback = callback
         self.cancelled = False
-        #: The event (racecheck identity) that scheduled this one.
-        self.origin = origin
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -94,19 +91,15 @@ class EventLoop:
     ``now_ns`` is the virtual clock: it jumps from event to event and
     is only readable, never assignable, from callbacks.
 
-    ``racecheck`` attaches a :class:`~repro.sim.racecheck.RaceChecker`
-    recording each event's scheduling parent and checking registered
-    shared objects.  ``tiebreak_seed`` arms the perturbation mode:
-    simultaneous events are ordered by a seeded uniform draw instead of
-    schedule order, so a run's results provably do not lean on the
-    tie-break.
+    ``tiebreak_seed`` arms the perturbation mode: simultaneous events
+    are ordered by a seeded uniform draw instead of schedule order, so
+    a run's results provably do not lean on the tie-break.
     """
 
     def __init__(
         self,
         start_ns: float = 0.0,
         *,
-        racecheck: "RaceChecker | None" = None,
         tiebreak_seed: int | None = None,
     ) -> None:
         if not math.isfinite(start_ns) or start_ns < 0:
@@ -115,7 +108,6 @@ class EventLoop:
         self._heap: list[tuple[float, float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self.processed = 0
-        self.racecheck = racecheck
         self.running = False
         self._settlers: list[Callable[[], bool]] = []
         #: Per settler: woken since it last ran (queued to run).
@@ -189,8 +181,7 @@ class EventLoop:
             raise ValueError(
                 f"cannot schedule into the past ({time_ns} < now {self.now_ns})"
             )
-        checker = self.racecheck
-        event = ScheduledEvent(callback, checker.current() if checker is not None else None)
+        event = ScheduledEvent(callback)
         tiebreak = self._tiebreak
         heapq.heappush(
             self._heap,
@@ -223,7 +214,6 @@ class EventLoop:
         if until_ns is not None and until_ns < self.now_ns:
             raise ValueError(f"horizon {until_ns} is in the past (now {self.now_ns})")
         horizon_ns = math.inf if until_ns is None else until_ns
-        checker = self.racecheck
         check_wakeups = sanitize.active()
         heap = self._heap
         pop = heapq.heappop
@@ -255,13 +245,9 @@ class EventLoop:
                         if event.cancelled:
                             continue
                         processed += 1
-                        if checker is not None:
-                            checker.begin_event(now_ns, _label(event.callback), event.origin)
                         event.callback()
                     if not settlers:
                         break
-                    if checker is not None:
-                        checker.begin_settle(now_ns)
                     settled = False
                     while due:
                         index = pop(due)
@@ -288,8 +274,6 @@ class EventLoop:
             self.running = False
             self.processed = processed
             self._settle_pos = -1
-        if checker is not None:
-            checker.end_run()
         if until_ns is not None:
             self.now_ns = max(self.now_ns, until_ns)
         return self.now_ns
@@ -303,30 +287,6 @@ class EventLoop:
                     f"t={self.now_ns}ns but was never woken; call the wake() handle "
                     "add_settler returned whenever work is buffered"
                 )
-
-
-def _fifo_ops_commute(op_a: str, op_b: str) -> bool:
-    """Which same-timestamp FIFO operations commute.
-
-    - ``finish`` frees a server (and promotes the queue head, which is
-      the same job either way): it commutes with everything, including
-      a simultaneous arrival — if an acquire could start, a preceding
-      finish only leaves *more* idle servers, and if it had to queue,
-      the finish pops the FIFO head regardless of order.
-    - ``arrive``/``arrive`` (deferred acquires, always keyed) commute:
-      both land in the pending buffer, and the settle phase admits the
-      whole buffer in stable-key order — set order, not event order.
-    - ``start``/``start`` commute: both observed idle servers, so both
-      orders start both jobs at the same timestamp.
-    - An immediate ``start``/``enqueue`` pair does *not* commute: one
-      job got the last idle server (or the earlier queue slot) by
-      tie-break.
-    """
-    if op_a == "finish" or op_b == "finish":
-        return True
-    if op_a == op_b and op_a in ("arrive", "start"):
-        return True
-    return False
 
 
 class FifoResource:
@@ -346,10 +306,6 @@ class FifoResource:
     wave acquire without a ``key`` is a ``ValueError``.  Outside
     ``run`` (seeding the loop before it starts) acquire admits
     synchronously in call order and ``key`` is optional.
-
-    When the loop carries a race checker the resource registers itself:
-    each acquire/finish is reported as a write whose operation name
-    feeds the commutativity model above.
     """
 
     __slots__ = (
@@ -361,7 +317,6 @@ class FifoResource:
         "_pending",
         "busy_ns",
         "served",
-        "_race",
         "_wake",
     )
 
@@ -377,11 +332,6 @@ class FifoResource:
         self._pending: list[tuple[int, float, Callable[[float], None]]] = []
         self.busy_ns = 0.0
         self.served = 0
-        self._race = loop.racecheck
-        if self._race is not None:
-            self._race.track(
-                self, name or f"fifo:{servers}", commutes=_fifo_ops_commute
-            )
         self._wake = loop.add_settler(self._settle)
 
     @property
@@ -418,13 +368,9 @@ class FifoResource:
                     "same-timestamp arrivals would be admitted in tie-break order; "
                     "pass a stable key"
                 )
-            if self._race is not None:
-                self._race.access(self, WRITE, "arrive")
             self._pending.append((key, service_ns, done))
             self._wake()
             return
-        if self._race is not None:
-            self._race.access(self, WRITE, "start" if self._idle else "enqueue")
         self._admit(service_ns, done)
 
     def _admit(self, service_ns: float, done: Callable[[float], None]) -> None:
@@ -443,8 +389,6 @@ class FifoResource:
             # Stable sort: equal keys keep arrival order.
             batch.sort(key=lambda entry: entry[0])
         for _key, service_ns, done in batch:
-            if self._race is not None:
-                self._race.access(self, WRITE, "start" if self._idle else "enqueue")
             self._admit(service_ns, done)
         return True
 
@@ -456,8 +400,6 @@ class FifoResource:
         loop.schedule_at(loop.now_ns + service_ns, lambda: self._finish(done))
 
     def _finish(self, done: Callable[[float], None]) -> None:
-        if self._race is not None:
-            self._race.access(self, WRITE, "finish")
         self._idle += 1
         if self._queue:
             next_service, next_done = self._queue.popleft()

@@ -28,9 +28,10 @@ class TenantQueue:
     """One tenant's submission ring plus arbitration bookkeeping.
 
     Rings are shared between the submitting client and the fetching
-    arbiter; when registered with a race checker every push/pop is
-    reported — ring slot order is tenant-visible state (queue-full
-    sheds key off it), so simultaneous unordered pushes race.
+    arbiter.  Ring slot order is tenant-visible state (queue-full sheds
+    key off it), so a ring takes pushes only from its own tenant's
+    backlog, in backlog order, and the arbiter pops only from the
+    node's pump, which a running loop defers to its settle phase.
     """
 
     def __init__(self, tenant: str, depth: int = 64, *, weight: int = 1) -> None:
@@ -41,8 +42,6 @@ class TenantQueue:
         self.weight = weight
         self.submitted = 0
         self.fetched = 0
-        #: Optional :class:`repro.sim.racecheck.RaceChecker` to report to.
-        self.racecheck = None
 
     def __len__(self) -> int:
         return len(self.ring)
@@ -52,16 +51,12 @@ class TenantQueue:
         return self.ring.full
 
     def push(self, entry: object) -> None:
-        if self.racecheck is not None:
-            self.racecheck.access(self, "write", "push")
         if self.ring.full:
             raise QueueFull(self.tenant)
         self.ring.push(entry)
         self.submitted += 1
 
     def pop(self) -> object:
-        if self.racecheck is not None:
-            self.racecheck.access(self, "write", "pop")
         entry = self.ring.pop()
         self.fetched += 1
         return entry
@@ -143,18 +138,11 @@ class MultiQueueNvme:
         self.arbiter: Arbiter = factory()
         self.queues: list[TenantQueue] = []
         self._by_tenant: dict[str, TenantQueue] = {}
-        #: Optional :class:`repro.sim.racecheck.RaceChecker`; propagated
-        #: to every ring added afterwards.  Arbiter credit state is
-        #: shared across tenants, so unordered simultaneous fetches race.
-        self.racecheck = None
 
     def add_queue(self, tenant: str, *, depth: int = 64, weight: int = 1) -> TenantQueue:
         if tenant in self._by_tenant:
             raise ValueError(f"duplicate tenant queue {tenant!r}")
         queue = TenantQueue(tenant, depth, weight=weight)
-        queue.racecheck = self.racecheck
-        if self.racecheck is not None:
-            self.racecheck.track(queue, f"ring:{tenant}")
         self.queues.append(queue)
         self._by_tenant[tenant] = queue
         return queue
@@ -175,8 +163,6 @@ class MultiQueueNvme:
         index = self.arbiter.select(self.queues)
         if index is None:
             return None
-        if self.racecheck is not None:
-            self.racecheck.access(self, "write", "fetch")
         queue = self.queues[index]
         return queue.tenant, queue.pop()
 

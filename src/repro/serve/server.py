@@ -43,9 +43,7 @@ from repro.serve.engine import EventLoop
 from repro.serve.metrics import RequestMetrics, ServeResult, TenantMetrics
 from repro.serve.nvme_mq import ARBITERS, MultiQueueNvme
 from repro.serve.qos import SHED, AdmissionRejected, TenantQoS, TokenBucket
-from repro.sim import racecheck as racecheck_mod
 from repro.sim.queueing import RequestDemand, StagePipeline
-from repro.sim.racecheck import RaceChecker
 from repro.system import StorageSystem, build_system
 from repro.workloads.trace import Op, ReadOp, Trace
 
@@ -122,12 +120,7 @@ def validate_tenants(
 
 
 class Tenant:
-    """One tenant as a front end sees it: spec, slot, client, metrics.
-
-    With a race checker, every latency histogram of ``metrics`` is
-    registered; inserts commute (order-independent sketch), so only
-    mixed access patterns can race.
-    """
+    """One tenant as a front end sees it: spec, slot, client, metrics."""
 
     __slots__ = ("spec", "index", "client", "metrics")
 
@@ -137,15 +130,11 @@ class Tenant:
         index: int,
         seed: int,
         metrics: RequestMetrics,
-        racecheck: RaceChecker | None,
     ) -> None:
         self.spec = spec
         self.index = index
         self.client = build_client(spec, index, seed)
         self.metrics = metrics
-        if racecheck is not None:
-            for name, histogram in metrics.histograms():
-                racecheck.track(histogram, f"{name}:{spec.name}", commutative_ops={"record"})
 
 
 class _Lane:
@@ -202,14 +191,12 @@ class StorageNode:
         arbitration: str,
         max_inflight: int,
         fine_grained: bool,
-        racecheck: RaceChecker | None,
         on_dispatch: Callable[[Any], None],
         on_complete: Callable[[Any, float], None],
         on_shed: Callable[[Any], None] | None = None,
         prefix: str = "",
     ) -> None:
         self.loop = loop
-        self.racecheck = racecheck
         self.system: StorageSystem = build_system(system, sim_config)
         config = self.system.config
         self.stages = StagePipeline(
@@ -219,13 +206,6 @@ class StorageNode:
             prefix=prefix,
         )
         self.mq = MultiQueueNvme(arbitration)
-        self.mq.racecheck = racecheck
-        if racecheck is not None:
-            # The storage system's caches/mapping are order-sensitive
-            # shared state too: two simultaneous unordered dispatches
-            # would hit it in tie-break order.
-            racecheck.track(self.system, f"{prefix}system:{system}")
-            racecheck.track(self.mq, f"{prefix}nvme-mq:{arbitration}")
         self._on_dispatch = on_dispatch
         self._on_complete = on_complete
         self._on_shed = on_shed
@@ -248,24 +228,8 @@ class StorageNode:
         self._create_files()
         flags = O_RDWR | (O_FINE_GRAINED if fine_grained else 0)
         for lane in self.lanes:
-            name = lane.spec.name
             for file in lane.spec.trace.files:
                 lane.fds[file.path] = self.system.open(file.path, flags)
-            if racecheck is None:
-                continue
-            # Pushes commute because each tenant's backlog order is
-            # tie-break independent: a closed-loop client submits in
-            # draw order whichever same-instant event runs first, and
-            # the router admits in stable key order at settle.  (Pops
-            # happen only in the settle-phase pump, fenced after the
-            # wave.)
-            racecheck.track(lane.queue, f"{prefix}ring:{name}", commutative_ops={"push"})
-            if lane.bucket is not None:
-                lane.bucket.racecheck = racecheck
-                # Token arithmetic commutes; which submitter a failed
-                # take delays does not matter, because the delayed op
-                # is the backlog head either way.
-                racecheck.track(lane.bucket, f"{prefix}bucket:{name}", commutative_ops={"take"})
         self._wake_pump = loop.add_settler(self._settle_pump)
 
     def _create_files(self) -> None:
@@ -391,8 +355,6 @@ class StorageNode:
         self.inflight += 1
         if self.inflight > self.max_inflight_observed:
             self.max_inflight_observed = self.inflight
-        if self.racecheck is not None:
-            self.racecheck.access(self.system, "write", "io")
         op = entry.op
         demand = self.system.apply(op, lane.fds[op.path])
         if self.nand_factors or self.pcie_factor != 1.0:
@@ -436,15 +398,8 @@ class StorageServer:
     and one :class:`StorageNode`; a submission enters the node's lane
     at once, during the wave (the cluster's router admits at settle).
 
-    ``racecheck`` attaches a :class:`~repro.sim.racecheck.RaceChecker`
-    (created automatically when ``REPRO_RACECHECK=1`` or the CLI's
-    ``--racecheck`` armed :func:`repro.sim.racecheck.enable`); every
-    shared object — stage FIFOs, submission rings, QoS buckets,
-    latency histograms, and the storage system itself — is registered,
-    so any order-dependent same-timestamp access raises a
-    ``virtual-time race`` with both event stacks.  ``tiebreak_seed``
-    arms the loop's schedule-perturbation mode (see
-    :func:`repro.sim.racecheck.perturbed`).
+    ``tiebreak_seed`` arms the loop's schedule-perturbation mode (see
+    :func:`repro.sim.perturb.perturbed`).
     """
 
     def __init__(
@@ -452,16 +407,12 @@ class StorageServer:
         config: ServeConfig,
         sim_config: SimConfig | None = None,
         *,
-        racecheck: RaceChecker | None = None,
         tiebreak_seed: int | None = None,
     ) -> None:
         self.config = config
-        if racecheck is None and racecheck_mod.active():
-            racecheck = RaceChecker()
-        self.racecheck = racecheck
         if config.backend is not None:
             sim_config = (sim_config or SimConfig()).scaled(backend=config.backend)
-        self.loop = EventLoop(racecheck=racecheck, tiebreak_seed=tiebreak_seed)
+        self.loop = EventLoop(tiebreak_seed=tiebreak_seed)
         self.node = StorageNode(
             self.loop,
             config.tenants,
@@ -470,14 +421,13 @@ class StorageServer:
             arbitration=config.arbitration,
             max_inflight=config.max_inflight,
             fine_grained=config.fine_grained,
-            racecheck=racecheck,
             on_dispatch=self._dispatch,
             on_complete=self._complete,
             on_shed=self._shed,
         )
         self.system = self.node.system
         self._tenants = [
-            Tenant(lane.spec, index, config.seed, lane.metrics, racecheck)
+            Tenant(lane.spec, index, config.seed, lane.metrics)
             for index, lane in enumerate(self.node.lanes)
         ]
         for tenant in self._tenants:
@@ -509,8 +459,6 @@ class StorageServer:
 
     def _dispatch(self, entry: Submission) -> None:
         metrics = entry.tenant.metrics
-        if self.racecheck is not None:
-            self.racecheck.access(metrics.queue_delay, "write", "record")
         metrics.queue_delay.record(self.loop.now_ns - entry.submit_ns)
         op = entry.op
         if isinstance(op, ReadOp):
@@ -523,8 +471,6 @@ class StorageServer:
         tenant = entry.tenant
         metrics = tenant.metrics
         metrics.completed += 1
-        if self.racecheck is not None:
-            self.racecheck.access(metrics.latency, "write", "record")
         metrics.latency.record(end_ns - entry.submit_ns)
         tenant.client.on_done(entry.op, completed=True)
 
@@ -552,13 +498,10 @@ def serve(
     config: ServeConfig,
     sim_config: SimConfig | None = None,
     *,
-    racecheck: RaceChecker | None = None,
     tiebreak_seed: int | None = None,
 ) -> ServeResult:
     """Convenience one-shot: build a server, run it, return the result."""
-    return StorageServer(
-        config, sim_config, racecheck=racecheck, tiebreak_seed=tiebreak_seed
-    ).run()
+    return StorageServer(config, sim_config, tiebreak_seed=tiebreak_seed).run()
 
 
 __all__ = [

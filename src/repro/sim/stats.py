@@ -119,15 +119,18 @@ class LatencyHistogram:
     ``percentile`` is exact — no bucket rounding — which is what the
     serving layer's p99.9 accounting needs: at production tail ratios
     a log2 bucket is off by up to 2x.  ``merge`` combines shards
-    (per-tenant, per-worker) without losing exactness.
+    (per-tenant, per-worker) without losing exactness.  Every statistic
+    is a function of the sample multiset, never of the recording order:
+    simultaneous completions reach the histogram in event tie-break
+    order, so the mean is an exactly rounded ``math.fsum``, not a
+    running float sum.
     """
 
-    __slots__ = ("_samples", "_sorted", "total_ns")
+    __slots__ = ("_samples", "_sorted")
 
     def __init__(self) -> None:
         self._samples: list[float] = []
         self._sorted = True
-        self.total_ns = 0.0
 
     def record(self, latency_ns: float) -> None:
         if not math.isfinite(latency_ns) or latency_ns < 0:
@@ -135,7 +138,6 @@ class LatencyHistogram:
         if self._samples and latency_ns < self._samples[-1]:
             self._sorted = False
         self._samples.append(latency_ns)
-        self.total_ns += latency_ns
 
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Fold ``other``'s samples into this histogram (returns self)."""
@@ -149,7 +151,7 @@ class LatencyHistogram:
 
     @property
     def mean_ns(self) -> float:
-        return self.total_ns / len(self._samples) if self._samples else 0.0
+        return math.fsum(self._samples) / len(self._samples) if self._samples else 0.0
 
     @property
     def min_ns(self) -> float:

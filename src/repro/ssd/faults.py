@@ -7,8 +7,11 @@ seeded threshold) so tests can reproduce exact failure sequences.
 
 The controller's sense path retries up to ``max_retries`` times, paying
 tR again per attempt; an exhausted retry budget surfaces as a
-:class:`NandReadError`, which the NVMe layer maps to a failed
-completion — exercised by the failure-injection tests.
+:class:`NandReadError` — exercised by the failure-injection tests.
+Nothing in the stack catches it yet: the error propagates out of the
+request and aborts the whole run (a serving or cluster run included).
+Mapping it to a failed NVMe completion is tracked as ROADMAP item 4,
+"Failures become results, not crashes".
 """
 
 from __future__ import annotations

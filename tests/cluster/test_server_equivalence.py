@@ -14,6 +14,9 @@ same completions, same latency distribution, same number of events.
 The same closed-loop tenants with think time also pin tie-break
 independence: same-instant think events used to submit their own
 drawn op, so the tenant's submission order followed the tie-break.
+On a four-server, replication-2 cluster they pin it again: there the
+closed loops' completions reach the latency histograms in tie-break
+order, which a running float sum turned into a drifting mean.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.cluster import ClusterConfig, run_cluster
 from repro.config import MIB
 from repro.serve.qos import TenantQoS
 from repro.serve.server import ServeConfig, TenantSpec, serve
-from repro.sim.racecheck import perturbed
+from repro.sim.perturb import perturbed
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 from repro.workloads.ycsb import YcsbConfig, ycsb_trace
 from tests.conftest import small_sim_config
@@ -119,4 +122,21 @@ def test_one_node_cluster_matches_server_for_closed_loop_tenants(arbitration, th
 def test_closed_loop_think_time_is_tiebreak_independent(front_end):
     tenants = _closed_tenants(5_000.0)
     report = perturbed(lambda seed: front_end(tenants, "wrr", seed), tuple(range(1, 9)))
+    assert report.identical, report.render()
+
+
+@pytest.mark.parametrize("think_ns", [0.0, 5_000.0])
+@pytest.mark.parametrize("policy", ["primary", "least_outstanding", "hedged"])
+def test_multi_node_closed_loop_cluster_is_tiebreak_independent(policy, think_ns):
+    config = ClusterConfig(
+        tenants=_closed_tenants(think_ns),
+        servers=4,
+        replication=2,
+        policy=policy,
+        hedge_delay_ns=20_000,
+        seed=9,
+    )
+    report = perturbed(
+        lambda seed: run_cluster(config, small_sim_config(), tiebreak_seed=seed), (1, 2, 3, 4)
+    )
     assert report.identical, report.render()

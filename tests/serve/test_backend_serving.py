@@ -12,7 +12,7 @@ import pytest
 
 from repro.serve.qos import TenantQoS
 from repro.serve.server import ServeConfig, TenantSpec, serve
-from repro.sim.racecheck import perturbed
+from repro.sim.perturb import perturbed
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 
 REQUESTS = 32
@@ -55,12 +55,8 @@ def test_default_backend_is_pcie_gen3():
 
 
 @pytest.mark.parametrize("backend", ["cxl_lmb", "nvme_fdp"])
-def test_new_backends_run_clean_under_racecheck(backend):
-    from repro.serve.server import StorageServer
-    from repro.sim.racecheck import RaceChecker
-
-    checker = RaceChecker()
-    result = StorageServer(_config(backend=backend), racecheck=checker).run()
+def test_new_backends_complete_every_request(backend):
+    result = serve(_config(backend=backend))
     assert result.backend == backend
     assert result.total_completed == 2 * REQUESTS
 

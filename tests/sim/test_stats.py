@@ -141,9 +141,21 @@ def test_histogram_merge_is_exact():
     assert combined.count == 5
     assert combined.p50_ns == 5.0
     assert combined.max_ns == 9.0
-    assert combined.total_ns == pytest.approx(24.0)
+    assert combined.mean_ns == pytest.approx(24.0 / 5)
     # Merging does not disturb the sources.
     assert left.count == 3 and right.count == 2
+
+
+def test_histogram_mean_does_not_depend_on_recording_order():
+    # A running float sum gives 3333333333333333.5 for the first order
+    # and 3333333333333334.0 for the second.
+    means = []
+    for order in ([1e16, 1.0, 1.0], [1.0, 1.0, 1e16]):
+        histogram = LatencyHistogram()
+        for sample in order:
+            histogram.record(sample)
+        means.append(histogram.mean_ns)
+    assert means[0] == means[1]
 
 
 def test_histogram_merge_empty_is_noop():
