@@ -9,8 +9,8 @@ The package is organized as a full storage stack simulator:
   memory regions, and the device controller with Pipette's fine-grained
   Read Engine.
 - :mod:`repro.kernel` -- the host I/O stack substrate: an extent-based
-  Ext4-like file system, page cache with read-ahead, block layer, NVMe
-  driver model, and a VFS facade.
+  Ext4-like file system, page cache with read-ahead, and a VFS facade
+  whose block read path submits page reads to the device.
 - :mod:`repro.core` -- the Pipette framework itself: access detector,
   read dispatcher, fine-grained read cache (slab allocator, per-file hash
   lookup, Info/TempBuf areas, adaptive caching, slab reassignment and

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.baselines._direct_write import direct_write
 from repro.config import SimConfig
 from repro.kernel.vfs import OpenFile
+from repro.ssd.controller import ByteRead
 from repro.system import StorageSystem, register_system
 
 
@@ -36,20 +37,13 @@ class PipetteNoCacheSystem(StorageSystem):
         tracer.host("fine_stack", timing.fine_stack_ns)
         tracer.host("fine_miss_host", timing.fine_miss_host_ns)
 
-        ranges = self.fs.extract_ranges(inode, offset, size)
+        read = ByteRead(device.controller)
         chunks: list[bytes] = []
-        nand_ns_each: list[float] = []
-        for piece in ranges:
-            pages = -(-(piece.offset_in_page + piece.length) // self.fs.page_size)
-            staged: list[bytes | None] = []
-            for page_offset in range(pages):
-                content, nand_ns = device.controller.sense_page(piece.lba + page_offset)
-                staged.append(content)
-                nand_ns_each.append(nand_ns)
-            if self.config.transfer_data:
-                joined = b"".join(page or b"" for page in staged)
-                chunks.append(joined[piece.offset_in_page : piece.offset_in_page + piece.length])
-        device.controller.record_array_phase(nand_ns_each)
+        for piece in self.fs.extract_ranges(inode, offset, size):
+            payload, _ = read.extract(piece.lba, piece.offset_in_page, piece.length)
+            if payload is not None:
+                chunks.append(payload)
+        read.finish()
 
         device.link.dma_to_host(tracer, size)
         tracer.host("completion", timing.completion_ns)

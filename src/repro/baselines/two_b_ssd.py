@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.baselines._direct_write import direct_write
 from repro.config import SimConfig
 from repro.kernel.vfs import OpenFile
+from repro.ssd.controller import ByteRead
 from repro.system import StorageSystem, register_system
 
 
@@ -40,23 +41,16 @@ class _TwoBSSDBase(StorageSystem):
 
         tracer.host("fine_stack", timing.fine_stack_ns)
 
-        ranges = self.fs.extract_ranges(inode, offset, size)
         # Stage every needed page in the CMB (device-internal path);
         # each sense records its channel occupancy in the trace.
+        read = ByteRead(device.controller, cmb=device.cmb)
         chunks: list[bytes] = []
-        nand_ns_each: list[float] = []
-        for piece in ranges:
-            pages = -(-(piece.offset_in_page + piece.length) // self.fs.page_size)
-            staged: list[bytes | None] = []
-            for page_offset in range(pages):
-                _, content, nand_ns = device.stage_for_byte_access(piece.lba + page_offset)
-                staged.append(content)
-                nand_ns_each.append(nand_ns)
-                self.pages_staged += 1
-            if self.config.transfer_data:
-                joined = b"".join(page or b"" for page in staged)
-                chunks.append(joined[piece.offset_in_page : piece.offset_in_page + piece.length])
-        device.controller.record_array_phase(nand_ns_each)
+        for piece in self.fs.extract_ranges(inode, offset, size):
+            payload, ppns = read.extract(piece.lba, piece.offset_in_page, piece.length)
+            self.pages_staged += len(ppns)
+            if payload is not None:
+                chunks.append(payload)
+        read.finish()
 
         self._host_pull(size)
         tracer.host("completion", timing.completion_ns)

@@ -69,6 +69,7 @@ class Request:
         "winner",
         "pending_writes",
         "hedge_event",
+        "hedge_deadline_ns",
         "hedge_due",
     )
 
@@ -96,6 +97,7 @@ class Request:
         self.winner: "Attempt | None" = None
         self.pending_writes = 0
         self.hedge_event: "ScheduledEvent | None" = None
+        self.hedge_deadline_ns = 0.0
         self.hedge_due = False
 
 
@@ -217,6 +219,7 @@ class Router:
         self._issue(request, first, 0)
         delay_ns = self.policy.hedge_delay_ns
         if delay_ns is not None and len(request.replicas) > 1:
+            request.hedge_deadline_ns = self.loop.now_ns + delay_ns
             request.hedge_event = self.loop.schedule(
                 delay_ns, self._make_hedge_timer(request)
             )
@@ -302,8 +305,16 @@ class Router:
         request.tenant.client.on_done(request.op, completed=True)
 
     def _cancel_losers(self, request: Request, winner: Attempt) -> None:
-        """Cancel-on-first-win: reap the timer and any queued loser."""
-        if request.hedge_event is not None:
+        """Cancel-on-first-win: reap the timer and any queued loser.
+
+        A timer due at this very nanosecond is left to fire as a no-op:
+        under another tie-break it runs before this completion, so
+        cancelling it here would make the event count order-dependent.
+        """
+        if (
+            request.hedge_event is not None
+            and request.hedge_deadline_ns != self.loop.now_ns  # simlint: allow[float-time-equality]
+        ):
             request.hedge_event.cancel()
             request.hedge_event = None
         for other in request.attempts:

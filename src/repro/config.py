@@ -287,8 +287,6 @@ class CacheConfig:
     max_item_bytes: int = 4096
     #: Geometric growth factor between slab-class item capacities.
     growth_factor: float = 2.0
-    #: Per-item metadata overhead charged against the cache budget.
-    item_overhead_bytes: int = 48
     #: Number of records in the host/device-shared Info Area ring.
     info_area_entries: int = 1024
     #: TempBuf area size (staging for data not admitted to the cache).
@@ -358,9 +356,6 @@ class PipetteConfig:
 
     #: Reads strictly smaller than this go down the byte-granular path.
     dispatch_threshold_bytes: int = 4096
-    #: Whether the fine-grained read cache is enabled (False reproduces
-    #: the paper's "Pipette w/o cache" configuration).
-    cache_enabled: bool = True
     #: Whether the adaptive promotion threshold is active; when False
     #: every missed fine-grained read is admitted to the cache.
     adaptive_caching: bool = True

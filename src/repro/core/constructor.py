@@ -21,14 +21,6 @@ from repro.ssd.nvme import FineReadRange, NvmeCommand, NvmeOpcode
 
 
 @dataclass
-class ReconstructedRead:
-    """A fine-grained read ready for submission."""
-
-    command: NvmeCommand
-    total_length: int
-
-
-@dataclass
 class FineGrainedConstructor:
     """Builds reconstructed reads and tracks Info Area production."""
 
@@ -36,20 +28,16 @@ class FineGrainedConstructor:
     info_area: InfoArea
     constructed: int = 0
 
-    def construct(self, inode: Inode, offset: int, size: int, dest_addr: int) -> ReconstructedRead:
-        """Resolve LBAs and stage Info records for one missed read."""
-        return self.construct_multi(inode, [(offset, size, dest_addr)])
-
     def construct_multi(
         self, inode: Inode, requests: list[tuple[int, int, int]]
-    ) -> ReconstructedRead:
-        """Build one command covering several (offset, size, dest) reads.
+    ) -> NvmeCommand:
+        """Resolve LBAs and stage Info records for (offset, size, dest) reads.
 
-        Used by the spatial-prefetch extension: neighbor objects ride
-        the demanded read's command, sharing its flash page senses.
+        One command covers them all: the first is the missed read, any
+        others are spatial-prefetch neighbors riding its command and
+        sharing its flash page senses.
         """
         ranges: list[FineReadRange] = []
-        total = 0
         for offset, size, dest_addr in requests:
             cursor = dest_addr
             for piece in self.fs.extract_ranges(inode, offset, size):
@@ -68,12 +56,8 @@ class FineGrainedConstructor:
                     )
                 )
                 cursor += piece.length
-            total += size
         self.constructed += 1
-        return ReconstructedRead(
-            command=NvmeCommand(opcode=NvmeOpcode.FINE_GRAINED_READ, ranges=ranges),
-            total_length=total,
-        )
+        return NvmeCommand(opcode=NvmeOpcode.FINE_GRAINED_READ, ranges=ranges)
 
 
 @dataclass
@@ -83,13 +67,13 @@ class Requester:
     device: SSDDevice
     submitted: int = 0
 
-    def submit(self, read: ReconstructedRead):
+    def submit(self, command: NvmeCommand):
         """Push the command through the NVMe queue; returns the completion."""
-        completion = self.device.submit(read.command)
+        completion = self.device.submit(command)
         if not completion.success:
             raise RuntimeError("fine-grained read rejected by device")
         self.submitted += 1
         return completion
 
 
-__all__ = ["FineGrainedConstructor", "ReconstructedRead", "Requester"]
+__all__ = ["FineGrainedConstructor", "Requester"]

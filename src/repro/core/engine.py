@@ -17,23 +17,12 @@ traffic savings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import SimConfig
 from repro.core.read_cache.info_area import InfoArea
-from repro.ssd.controller import SSDController
+from repro.ssd.controller import ByteRead, SSDController
 from repro.ssd.hmb import HostMemoryBuffer
 from repro.ssd.nvme import NvmeCommand, NvmeCompletion
 from repro.ssd.pcie import PcieLink
-
-
-@dataclass
-class EngineResult:
-    """Timing decomposition of one fine-grained read command."""
-
-    nand_ns_each: list[float]
-    transfer_ns: float
-    bytes_moved: int
 
 
 class FineGrainedReadEngine:
@@ -57,33 +46,14 @@ class FineGrainedReadEngine:
 
     def handle(self, command: NvmeCommand) -> NvmeCompletion:
         """Execute one ``FINE_GRAINED_READ`` command."""
-        page_size = self.config.ssd.page_size
         tracer = self.controller.tracer
-        nand_ns_each: list[float] = []
-        transfer_ns = 0.0
-        bytes_moved = 0
-        #: Pages already sensed by *this* command (the read buffer holds
-        #: them for the command's duration): each flash page pays tR once
-        #: however many ranges of the request it serves.
-        sensed: dict[int, bytes | None] = {}
-
         placement = self.controller.placement
+        read = ByteRead(self.controller)
         for fine_range in command.ranges:
             # Phase 1: load NAND pages into the read buffer.
-            span = fine_range.offset_in_page + fine_range.length
-            pages = -(-span // page_size)
-            staged: list[bytes | None] = []
-            range_ppns: list[int] = []
-            for page_offset in range(pages):
-                lba = fine_range.lba + page_offset
-                range_ppns.append(self.controller.ftl.translate(lba))
-                if lba in sensed:
-                    staged.append(sensed[lba])
-                    continue
-                content, nand_ns = self.controller.sense_page(lba)
-                sensed[lba] = content
-                staged.append(content)
-                nand_ns_each.append(nand_ns)
+            payload, ppns = read.extract(
+                fine_range.lba, fine_range.offset_in_page, fine_range.length
+            )
 
             # Phase 2: consume the Info record assigned by the host.
             record = self.info_area.consume()
@@ -97,28 +67,17 @@ class FineGrainedReadEngine:
             # against it — on an FDP backend this is the per-handle
             # flash-footprint segregation.
             handle = placement.pop_destination(record.dest_addr)
-            placement.record_read(
-                handle, fine_range.length, pages=tuple(range_ppns)
-            )
+            placement.record_read(handle, fine_range.length, pages=tuple(ppns))
 
-            # Phase 3: extract the range and DMA it to its destination.
-            if self.config.transfer_data:
-                joined = b"".join(page or b"" for page in staged)
-                payload = joined[
-                    fine_range.offset_in_page : fine_range.offset_in_page + fine_range.length
-                ]
+            # Phase 3: DMA the extracted range to its destination.
+            if payload is not None:
                 self.hmb.write(record.dest_addr, payload)
-            piece_ns = self.link.dma_to_host(tracer, fine_range.length)
-            transfer_ns += piece_ns
-            bytes_moved += fine_range.length
+            self.link.dma_to_host(tracer, fine_range.length)
             self.ranges_served += 1
 
-        self.controller.record_array_phase(nand_ns_each)
+        read.finish()
         self.commands_handled += 1
-        result = EngineResult(
-            nand_ns_each=nand_ns_each, transfer_ns=transfer_ns, bytes_moved=bytes_moved
-        )
-        return NvmeCompletion(cid=command.cid, result=result)
+        return NvmeCompletion(cid=command.cid)
 
 
-__all__ = ["EngineResult", "FineGrainedReadEngine"]
+__all__ = ["FineGrainedReadEngine"]

@@ -28,7 +28,7 @@ from repro.config import SimConfig
 from repro.core.constructor import FineGrainedConstructor, Requester
 from repro.core.detector import FineGrainedAccessDetector
 from repro.core.dispatcher import DispatchDecision, ReadDispatcher
-from repro.core.engine import EngineResult, FineGrainedReadEngine
+from repro.core.engine import FineGrainedReadEngine
 from repro.core.read_cache.cache import FineGrainedReadCache
 from repro.kernel.page_cache import PageCache
 from repro.kernel.vfs import BlockReadPath, OpenFile
@@ -178,9 +178,7 @@ class PipetteSystem(StorageSystem):
         serial array phase, link transfers) into the active trace.
         """
         requests = [(offset, size, dest_addr)] + list(prefetch or [])
-        reconstructed = self.constructor.construct_multi(inode, requests)
-        completion = self.requester.submit(reconstructed)
-        assert isinstance(completion.result, EngineResult)
+        self.requester.submit(self.constructor.construct_multi(inode, requests))
 
     def _try_page_cache(self, inode, offset: int, size: int) -> tuple[bool, bytes | None]:
         """Serve a fine read from resident pages, if all are present.

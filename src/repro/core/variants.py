@@ -12,9 +12,9 @@ against ``pipette`` isolates the value of the persistent HMB mapping.
 
 from __future__ import annotations
 
-from repro.system import register_system
-
 from repro.core.framework import PipetteSystem
+from repro.ssd.controller import ByteRead
+from repro.system import register_system
 
 
 @register_system
@@ -37,31 +37,19 @@ class PipetteCmbSystem(PipetteSystem):
         tracer = device.tracer
         requests = [(offset, size, dest_addr)] + list(prefetch or [])
 
-        nand_ns_each: list[float] = []
-        staged_pages: dict[int, bytes | None] = {}
+        # Device side: stage each needed page in the CMB once per
+        # command (like the Read Engine's buffer).
+        read = ByteRead(device.controller, cmb=device.cmb)
         total_bytes = 0
         placement = device.placement
         for request_offset, request_size, request_dest in requests:
-            # Device side: stage each needed page in the CMB once per
-            # command (like the Read Engine's buffer).
             chunks: list[bytes] = []
             request_ppns: list[int] = []
             for piece in self.fs.extract_ranges(inode, request_offset, request_size):
-                pages = -(-(piece.offset_in_page + piece.length) // self.fs.page_size)
-                page_contents: list[bytes | None] = []
-                for page_offset in range(pages):
-                    lba = piece.lba + page_offset
-                    request_ppns.append(device.ftl.translate(lba))
-                    if lba not in staged_pages:
-                        _, content, nand_ns = device.stage_for_byte_access(lba)
-                        staged_pages[lba] = content
-                        nand_ns_each.append(nand_ns)
-                    page_contents.append(staged_pages[lba])
-                if self.config.transfer_data:
-                    joined = b"".join(page or b"" for page in page_contents)
-                    chunks.append(
-                        joined[piece.offset_in_page : piece.offset_in_page + piece.length]
-                    )
+                payload, ppns = read.extract(piece.lba, piece.offset_in_page, piece.length)
+                request_ppns.extend(ppns)
+                if payload is not None:
+                    chunks.append(payload)
             if self.config.transfer_data:
                 device.hmb.write(request_dest, b"".join(chunks))
             # This variant bypasses the Read Engine, so it resolves the
@@ -70,7 +58,7 @@ class PipetteCmbSystem(PipetteSystem):
             handle = placement.pop_destination(request_dest)
             placement.record_read(handle, request_size, pages=tuple(request_ppns))
             total_bytes += request_size
-        device.controller.record_array_phase(nand_ns_each)
+        read.finish()
 
         # Host side: per-access DMA mapping (the cost HMB avoids), pull
         # the demanded bytes over the link, land them in the cache.

@@ -1,17 +1,12 @@
-"""Host I/O stack substrate: file system, page cache, block layer, VFS."""
+"""Host I/O stack substrate: file system, page cache, read-ahead, VFS."""
 
-from repro.kernel.block_layer import BlockLayer, BlockRequest
-from repro.kernel.driver import NvmeDriver
 from repro.kernel.page_cache import PageCache
 from repro.kernel.readahead import ReadaheadState
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDONLY, O_RDWR, BlockReadPath, FileTable
 
 __all__ = [
-    "BlockLayer",
     "BlockReadPath",
-    "BlockRequest",
     "FileTable",
-    "NvmeDriver",
     "O_FINE_GRAINED",
     "O_RDONLY",
     "O_RDWR",

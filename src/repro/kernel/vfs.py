@@ -2,8 +2,10 @@
 
 ``BlockReadPath`` implements the conventional read flow of paper
 section 2.1 end to end: VFS -> page cache (with read-ahead) -> block
-layer merge -> NVMe driver -> device, plus the write path (dirty pages
-in the page cache, flushed on fsync or eviction).  Both the Block I/O
+layer -> device, plus the write path (dirty pages in the page cache,
+flushed on fsync or eviction).  The block layer's host cost is the
+``block_layer`` stage; the device merges the missed pages into
+contiguous runs, one NVMe READ each.  Both the Block I/O
 baseline and Pipette's coarse-grained dispatch reuse this object.
 """
 
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import SimConfig
-from repro.kernel.block_layer import BlockLayer
-from repro.kernel.driver import NvmeDriver
 from repro.kernel.fs.ext4 import ExtentFileSystem
 from repro.kernel.fs.inode import Inode
 from repro.kernel.page_cache import PageCache
@@ -91,8 +91,6 @@ class BlockReadPath:
         self.device = device
         self.fs = fs
         self.page_cache = page_cache
-        self.block_layer = BlockLayer()
-        self.driver = NvmeDriver(device)
         #: Payload of every page flushed without content: one shared
         #: object, so the flash array keeps no per-page copy of it.
         self._zero_page = bytes(fs.page_size)
@@ -111,9 +109,6 @@ class BlockReadPath:
         payload = content if content is not None else self._zero_page
         with self.device.tracer.detached("writeback"):
             self.device.block_write([(lba, payload)])
-
-    def _page_content(self, pages: dict[int, bytes | None], lba: int) -> bytes | None:
-        return pages.get(lba)
 
     # --- read -------------------------------------------------------------
     def read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
@@ -163,17 +158,16 @@ class BlockReadPath:
             tracer.host("block_layer", timing.block_layer_ns)
             lba_of = {page: self.fs.page_lba(inode, page) for page in miss_pages}
             background = [self.fs.page_lba(inode, page) for page in readahead_pages]
-            requests = self.block_layer.build_requests(list(lba_of.values()))
-            pages = self.driver.read_pages(requests, background_lbas=background)
+            pages = self.device.block_read(
+                list(lba_of.values()), background_lbas=background
+            )
             for page_index, lba in lba_of.items():
-                content = self._page_content(pages, lba)
+                content = pages.get(lba)
                 self.page_cache.insert(inode.ino, page_index, content)
                 resident[page_index] = content
             for page_index in readahead_pages:
                 lba = self.fs.page_lba(inode, page_index)
-                self.page_cache.insert(
-                    inode.ino, page_index, self._page_content(pages, lba)
-                )
+                self.page_cache.insert(inode.ino, page_index, pages.get(lba))
 
         tracer.host("dram_copy", timing.dram_copy_ns(size))
 
@@ -249,7 +243,7 @@ class BlockReadPath:
             writes.append((self.fs.page_lba(inode, page_index), payload))
             self.page_cache.clean(ino, page_index)
         if writes:
-            self.driver.write_pages(writes)
+            self.device.block_write(writes)
 
 
 __all__ = [

@@ -25,22 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.serve.engine import EventLoop, FifoResource
-
-
-@dataclass(frozen=True)
-class RequestDemand:
-    """Per-request resource demands (ns on each stage)."""
-
-    host_ns: float = 0.0
-    nand_ns: float = 0.0
-    channel: int = 0
-    pcie_ns: float = 0.0
-
-    def __post_init__(self) -> None:
-        if min(self.host_ns, self.nand_ns, self.pcie_ns) < 0:
-            raise ValueError("demands must be non-negative")
-        if self.channel < 0:
-            raise ValueError("channel must be non-negative")
+from repro.sim.trace import RequestDemand
 
 
 @dataclass

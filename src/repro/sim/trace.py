@@ -1,6 +1,6 @@
 """Per-request stage traces: the single record both views derive from.
 
-Every layer of the simulation — VFS, page cache, block layer, driver,
+Every layer of the simulation — VFS, page cache, block read path,
 Pipette core, device controller, Read Engine, PCIe link — records the
 costs it incurs as :class:`Stage` entries in the *active request's*
 :class:`StageTrace` instead of side-effect-charging the resource ledger
@@ -17,9 +17,9 @@ views of the one record:
   feeds it to the :class:`repro.sim.latency.LatencyRecorder`;
 - **queueing demand** — :meth:`StageTrace.demand` projects the trace
   onto the three-stage closed-loop pipeline model
-  (:class:`repro.sim.queueing.RequestDemand`), which is how
-  ``experiments/qd_sweep`` replays *actual* recorded per-request costs
-  through the event-level simulator.
+  (:class:`RequestDemand`, re-exported by :mod:`repro.sim.queueing`),
+  which is how ``experiments/qd_sweep`` replays *actual* recorded
+  per-request costs through the event-level simulator.
 
 A trace is flat: one list of stages in recording order, plus running
 sums the tracer adds each stage into as it is recorded, so the views
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.sim import sanitize
-from repro.sim.queueing import RequestDemand
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sim.resources import ResourceModel
@@ -68,6 +67,22 @@ PCIE = "pcie"
 #: used for derived serial (QD-1) array stages, never charged.
 NAND = "nand"
 _NAMED = (HOST, PCIE, NAND)
+
+
+@dataclass(frozen=True)
+class RequestDemand:
+    """Per-request resource demands (ns on each stage)."""
+
+    host_ns: float = 0.0
+    nand_ns: float = 0.0
+    channel: int = 0
+    pcie_ns: float = 0.0
+
+    def __post_init__(self) -> None:
+        if min(self.host_ns, self.nand_ns, self.pcie_ns) < 0:
+            raise ValueError("demands must be non-negative")
+        if self.channel < 0:
+            raise ValueError("channel must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,4 +283,4 @@ class Tracer:
         return stage
 
 
-__all__ = ["HOST", "NAND", "PCIE", "Stage", "StageTrace", "Tracer"]
+__all__ = ["HOST", "NAND", "PCIE", "RequestDemand", "Stage", "StageTrace", "Tracer"]

@@ -6,6 +6,9 @@ The controller owns the primitives every read path composes:
   tR plus the ONFI bus transfer, and land the page in the read buffer;
 - ``record_array_phase``: the serial QD-1 array phase of the pages
   one command sensed;
+- :class:`ByteRead`: one command's byte-granular read, the sense and
+  slice every byte path shares (Pipette's Read Engine, the CMB
+  variants, Pipette without cache); each keeps only its transport;
 - ``block_page_extra_ns``: the device-side serialization penalty paid
   only by full-page block reads (see DESIGN.md section 5);
 - ``execute``: the NVMe dispatch used by the queue pair.
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.config import SimConfig
 from repro.sim.trace import Tracer
 from repro.ssd.backends.base import BufferPlacement
+from repro.ssd.cmb import ControllerMemoryBuffer
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.nand import FlashArray
 from repro.ssd.nvme import NvmeCommand, NvmeCompletion, NvmeOpcode
@@ -59,22 +63,18 @@ class SSDController:
     read_buffer_hits: int = 0
     #: Extra read attempts caused by injected transient faults.
     read_retries: int = 0
-    #: Optional hook invoked after each page sense (diagnostics).
-    on_sense: Callable[[int], None] | None = None
 
     def __post_init__(self) -> None:
         if self.placement is None:
             self.placement = BufferPlacement()
 
     # --- primitives -----------------------------------------------------
-    def sense_page(self, lba: int, *, with_data: bool | None = None) -> tuple[bytes | None, float]:
+    def sense_page(self, lba: int) -> tuple[bytes | None, float]:
         """Read one logical page from NAND into the read buffer.
 
         Returns ``(content, nand_ns)`` where ``nand_ns`` is the array
         occupancy charged to the page's channel (tR + bus transfer).
         """
-        if with_data is None:
-            with_data = self.config.transfer_data
         ppn = self.ftl.translate(lba)
         if self.config.ssd.read_buffer_hits:
             for slot in reversed(self.read_buffer):
@@ -89,7 +89,7 @@ class SSDController:
             # May raise NandReadError after exhausting retries.
             attempts = self.config.faults.attempts_needed(ppn)
             self.read_retries += attempts - 1
-        content = self.nand.read_page(ppn, with_data=with_data)
+        content = self.nand.read_page(ppn, with_data=self.config.transfer_data)
         nand_ns = (
             attempts * self.nand.read_latency_ns()
             + self.config.timing.channel_xfer_page_ns
@@ -97,8 +97,6 @@ class SSDController:
         self.tracer.channel(self.nand.channel_of(ppn), "tR", nand_ns)
         self._buffer_insert(lba, content)
         self.pages_sensed += 1
-        if self.on_sense is not None:
-            self.on_sense(lba)
         return content, nand_ns
 
     def record_array_phase(self, per_page_ns: list[float]) -> None:
@@ -177,9 +175,9 @@ class SSDController:
         return NvmeCompletion(cid=command.cid, result=(pages, nand_ns_each))
 
     def _execute_block_write(self, command: NvmeCommand) -> NvmeCompletion:
-        # Payload is attached by the driver model via command.ranges abuse;
-        # the driver calls program_page directly instead, so a WRITE here
-        # is only exercised by protocol-level tests.
+        # The command carries no payload: SSDDevice.block_write calls
+        # program_page directly, so a WRITE here is only exercised by
+        # protocol-level tests.
         nand_ns_total = 0.0
         for lba in range(command.lba, command.lba + command.nlb):
             page = self.nand.read_page(self.ftl.translate(lba))
@@ -188,4 +186,62 @@ class SSDController:
         return NvmeCompletion(cid=command.cid, result=nand_ns_total)
 
 
-__all__ = ["FirmwareExtension", "ReadBufferSlot", "SSDController"]
+class ByteRead:
+    """One command's byte-granular read out of NAND.
+
+    ``extract`` senses each page a piece spans and slices out the
+    piece's bytes; ``finish`` records the command's array phase.  A
+    page is sensed at most once per command, in first-use order: the
+    read buffer holds it for the command's duration, so it pays tR
+    once however many pieces it serves.  With ``cmb`` each newly
+    sensed page is also staged there (2B-SSD style byte access).
+    """
+
+    __slots__ = ("controller", "cmb", "_pages", "_ppns", "_nand_ns")
+
+    def __init__(
+        self, controller: SSDController, cmb: ControllerMemoryBuffer | None = None
+    ) -> None:
+        self.controller = controller
+        self.cmb = cmb
+        self._pages: dict[int, bytes | None] = {}
+        self._ppns: dict[int, int] = {}
+        #: Array occupancy of each sensed page, in sensing order.
+        self._nand_ns: list[float] = []
+
+    def extract(
+        self, lba: int, offset_in_page: int, length: int
+    ) -> tuple[bytes | None, list[int]]:
+        """Sense the piece's pages; returns ``(payload, ppns)``.
+
+        ``payload`` is ``None`` when ``transfer_data`` is off.
+        """
+        controller = self.controller
+        config = controller.config
+        pages = self._pages
+        known = self._ppns
+        end = offset_in_page + length
+        contents: list[bytes | None] = []
+        ppns: list[int] = []
+        for page_lba in range(lba, lba + -(-end // config.ssd.page_size)):
+            ppn = known.get(page_lba)
+            if ppn is None:
+                content, nand_ns = controller.sense_page(page_lba)
+                ppn = known[page_lba] = controller.ftl.translate(page_lba)
+                pages[page_lba] = content
+                self._nand_ns.append(nand_ns)
+                if self.cmb is not None:
+                    self.cmb.stage_page(ppn, content)
+            ppns.append(ppn)
+            contents.append(pages[page_lba])
+        if not config.transfer_data:
+            return None, ppns
+        joined = b"".join(page or b"" for page in contents)
+        return joined[offset_in_page:end], ppns
+
+    def finish(self) -> None:
+        """Record the command's serial array phase (once per command)."""
+        self.controller.record_array_phase(self._nand_ns)
+
+
+__all__ = ["ByteRead", "FirmwareExtension", "ReadBufferSlot", "SSDController"]

@@ -2,13 +2,15 @@
 
 ``SSDDevice`` wires the NAND array, FTL, controller, PCIe link, DMA and
 MMIO models, CMB and HMB regions, and an NVMe queue pair together, and
-offers the three read paths the paper compares:
+offers the two kinds of read the paper compares:
 
 - :meth:`block_read` -- the conventional page-granular path (used by
-  Block I/O and by Pipette's coarse-grained dispatch);
-- :meth:`stage_for_byte_access` -- CMB staging for 2B-SSD MMIO/DMA;
-- ``FINE_GRAINED_READ`` NVMe commands handled by the installed Read
-  Engine (see :mod:`repro.core.engine`) for Pipette's byte path.
+  Block I/O and by Pipette's coarse-grained dispatch); it merges the
+  pages into contiguous runs and submits one NVMe READ per run;
+- byte-granular reads through :class:`repro.ssd.controller.ByteRead`:
+  ``FINE_GRAINED_READ`` NVMe commands handled by the installed Read
+  Engine (see :mod:`repro.core.engine`) for Pipette's HMB path, and
+  CMB staging for 2B-SSD MMIO/DMA and the ``pipette-cmb`` variant.
 
 Timing contract: device methods record :class:`repro.sim.trace.Stage`
 entries into the active request's :class:`~repro.sim.trace.StageTrace`,
@@ -184,16 +186,6 @@ class SSDDevice:
             self.tracer.host(
                 "completion", self.config.timing.completion_ns, charged=False
             )
-
-    # --- 2B-SSD style byte access ---------------------------------------------
-    def stage_for_byte_access(self, lba: int) -> tuple[int, bytes | None, float]:
-        """Sense one page into the CMB for MMIO/DMA byte access.
-
-        Returns ``(cmb_addr, page_content, device_ns)``.
-        """
-        content, nand_ns = self.controller.sense_page(lba)
-        addr = self.cmb.stage_page(self.ftl.translate(lba), content)
-        return addr, content, nand_ns
 
     # --- NVMe command submission ----------------------------------------------
     def submit(self, command: NvmeCommand):

@@ -2,7 +2,8 @@
 
 The simulator executes commands synchronously (virtual time), but the
 queue structures are real rings with head/tail arithmetic and command
-identifier allocation, exercised by the driver model and the tests.
+identifier allocation, exercised by the device's block reads and the
+tests.
 The command set is NVMe 1.2 plus the vendor-specific fine-grained read
 opcode Pipette adds (paper section 4.1: "We also extend the NVMe
 command set to support fine-grained reads").

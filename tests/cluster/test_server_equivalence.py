@@ -125,10 +125,8 @@ def test_closed_loop_think_time_is_tiebreak_independent(front_end):
     assert report.identical, report.render()
 
 
-@pytest.mark.parametrize("think_ns", [0.0, 5_000.0])
-@pytest.mark.parametrize("policy", ["primary", "least_outstanding", "hedged"])
-def test_multi_node_closed_loop_cluster_is_tiebreak_independent(policy, think_ns):
-    config = ClusterConfig(
+def _multi_node_config(policy: str, think_ns: float) -> ClusterConfig:
+    return ClusterConfig(
         tenants=_closed_tenants(think_ns),
         servers=4,
         replication=2,
@@ -136,7 +134,22 @@ def test_multi_node_closed_loop_cluster_is_tiebreak_independent(policy, think_ns
         hedge_delay_ns=20_000,
         seed=9,
     )
+
+
+def _assert_tiebreak_independent(config: ClusterConfig, seeds: tuple[int, ...]) -> None:
     report = perturbed(
-        lambda seed: run_cluster(config, small_sim_config(), tiebreak_seed=seed), (1, 2, 3, 4)
+        lambda seed: run_cluster(config, small_sim_config(), tiebreak_seed=seed), seeds
     )
     assert report.identical, report.render()
+
+
+@pytest.mark.parametrize("think_ns", [0.0, 5_000.0])
+@pytest.mark.parametrize("policy", ["primary", "least_outstanding", "hedged"])
+def test_multi_node_closed_loop_cluster_is_tiebreak_independent(policy, think_ns):
+    _assert_tiebreak_independent(_multi_node_config(policy, think_ns), (1, 2, 3, 4))
+
+
+def test_hedge_timer_due_at_completion_counts_under_every_tiebreak():
+    # Some completions land on the exact nanosecond of their hedge
+    # deadline; the timer must count as one event whichever runs first.
+    _assert_tiebreak_independent(_multi_node_config("hedged", 0.0), tuple(range(1, 17)))

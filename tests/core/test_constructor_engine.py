@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
 from repro.core.constructor import FineGrainedConstructor, Requester
-from repro.core.engine import EngineResult, FineGrainedReadEngine
+from repro.core.engine import FineGrainedReadEngine
 from repro.core.read_cache.info_area import InfoArea
 from repro.kernel.fs.ext4 import ExtentFileSystem
 from repro.ssd.device import SSDDevice
@@ -37,21 +37,18 @@ def rig():
 
 def test_construct_produces_info_records(rig):
     _, _, _, info, constructor, _, _, inode = rig
-    read = constructor.construct(inode, 100, 28, dest_addr=500)
-    assert read.command.opcode == NvmeOpcode.FINE_GRAINED_READ
-    assert len(read.command.ranges) == 1
+    command = constructor.construct_multi(inode, [(100, 28, 500)])
+    assert command.opcode == NvmeOpcode.FINE_GRAINED_READ
+    assert len(command.ranges) == 1
     assert info.produced == 1
-    assert read.command.ranges[0].dest_addr == 500
+    assert command.ranges[0].dest_addr == 500
 
 
 def test_engine_transfers_demanded_bytes_to_hmb(rig):
     _, device, fs, info, constructor, requester, engine, inode = rig
-    read = constructor.construct(inode, 100, 28, dest_addr=500)
-    completion = requester.submit(read)
+    completion = requester.submit(constructor.construct_multi(inode, [(100, 28, 500)]))
     assert completion.success
-    result = completion.result
-    assert isinstance(result, EngineResult)
-    assert result.bytes_moved == 28
+    assert device.traffic.device_to_host_bytes == 28
     lba = fs.page_lba(inode, 0)
     expected = page_pattern(lba)[100:128]
     assert device.hmb.read(500, 28) == expected
@@ -61,10 +58,8 @@ def test_engine_transfers_demanded_bytes_to_hmb(rig):
 
 def test_engine_handles_page_crossing_range(rig):
     _, device, fs, _, constructor, requester, _, inode = rig
-    read = constructor.construct(inode, 4090, 16, dest_addr=100)
-    completion = requester.submit(read)
-    result = completion.result
-    assert result.bytes_moved == 16
+    requester.submit(constructor.construct_multi(inode, [(4090, 16, 100)]))
+    assert device.traffic.device_to_host_bytes == 16
     lba0 = fs.page_lba(inode, 0)
     lba1 = fs.page_lba(inode, 1)
     expected = page_pattern(lba0)[4090:] + page_pattern(lba1)[:10]
@@ -73,21 +68,20 @@ def test_engine_handles_page_crossing_range(rig):
 
 def test_engine_traffic_is_demanded_bytes_only(rig):
     _, device, _, _, constructor, requester, _, inode = rig
-    read = constructor.construct(inode, 0, 64, dest_addr=0)
-    requester.submit(read)
+    requester.submit(constructor.construct_multi(inode, [(0, 64, 0)]))
     assert device.traffic.device_to_host_bytes == 64
 
 
 def test_engine_rejects_mismatched_info_record(rig):
     _, device, _, info, constructor, requester, _, inode = rig
-    read = constructor.construct(inode, 0, 64, dest_addr=0)
+    command = constructor.construct_multi(inode, [(0, 64, 0)])
     # Corrupt the ring: consume the record the host staged and replace
     # it with one pointing elsewhere.
     record = info.consume()
     from repro.core.read_cache.info_area import InfoRecord
 
     info.push(InfoRecord(dest_addr=record.dest_addr + 8, byte_offset=0, byte_length=64))
-    completion = device.submit(read.command)
+    completion = device.submit(command)
     assert not completion.success
 
 
@@ -105,6 +99,6 @@ def test_engine_qd1_nand_overlap(rig):
 
 def test_requester_counts_submissions(rig):
     _, _, _, _, constructor, requester, _, inode = rig
-    requester.submit(constructor.construct(inode, 0, 8, dest_addr=0))
-    requester.submit(constructor.construct(inode, 64, 8, dest_addr=8))
+    requester.submit(constructor.construct_multi(inode, [(0, 8, 0)]))
+    requester.submit(constructor.construct_multi(inode, [(64, 8, 8)]))
     assert requester.submitted == 2

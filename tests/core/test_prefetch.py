@@ -55,8 +55,9 @@ def test_prefetched_data_correct():
         assert system.read(fd, offset, 128) == reference.read(ref_fd, offset, 128)
 
 
-def test_same_page_prefetch_senses_once():
-    system = make_system(prefetch=3)
+@pytest.mark.parametrize("name", ["pipette", "pipette-cmb"])
+def test_same_page_prefetch_senses_once(name):
+    system = make_system(prefetch=3, name=name)
     fd = make_open_file(system)
     system.read(fd, 0, 128)  # neighbors 128..511 share page 0
     assert system.device.controller.pages_sensed == 1

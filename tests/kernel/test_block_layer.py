@@ -1,44 +1,19 @@
-"""Tests for block-layer request building and merging."""
+"""Tests for block-layer request merging.
 
-import pytest
+The kernel hands page LBAs straight to the device, which merges them
+into the contiguous runs it issues as NVMe READ commands.
+"""
 
-from repro.kernel.block_layer import BlockLayer, BlockRequest
+from repro.ssd.device import _contiguous_runs
 
 
 def test_merges_contiguous_lbas():
-    layer = BlockLayer()
-    requests = layer.build_requests([4, 5, 6, 10])
-    assert requests == [BlockRequest(4, 3), BlockRequest(10, 1)]
-    assert layer.merges == 2
+    assert _contiguous_runs([4, 5, 6, 10]) == [(4, 3), (10, 1)]
 
 
 def test_sorts_and_dedups():
-    layer = BlockLayer()
-    requests = layer.build_requests([6, 4, 5, 5])
-    assert requests == [BlockRequest(4, 3)]
+    assert _contiguous_runs([6, 4, 5, 5]) == [(4, 3)]
 
 
 def test_empty_input():
-    assert BlockLayer().build_requests([]) == []
-
-
-def test_stats_accumulate():
-    layer = BlockLayer()
-    layer.build_requests([1, 2])
-    layer.build_requests([10])
-    assert layer.requests_submitted == 2
-    assert layer.pages_submitted == 3
-
-
-def test_request_log_optional():
-    layer = BlockLayer(keep_log=True)
-    layer.build_requests([1, 2])
-    assert layer.log == [BlockRequest(1, 2)]
-    plain = BlockLayer()
-    plain.build_requests([1])
-    assert plain.log == []
-
-
-def test_empty_request_rejected():
-    with pytest.raises(ValueError):
-        BlockRequest(0, 0)
+    assert _contiguous_runs([]) == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
+from repro.ssd.controller import ByteRead
 from repro.ssd.device import SSDDevice, _contiguous_runs
 from repro.ssd.nand import page_pattern
 from tests.conftest import root_trace
@@ -99,12 +100,37 @@ def test_block_write_requires_full_pages():
         device.block_write([(5, b"short")])
 
 
-def test_stage_for_byte_access_uses_cmb():
+def test_byte_read_senses_a_shared_page_once():
     device = make_device()
-    addr, content, nand_ns = device.stage_for_byte_access(3)
-    assert content == page_pattern(3)
-    assert device.cmb.read(addr, 4096) == content
-    assert nand_ns > 0
+    read = ByteRead(device.controller)
+    first, first_ppns = read.extract(3, 4000, 200)  # spans pages 3 and 4
+    second, second_ppns = read.extract(4, 100, 50)  # page 4 again
+    read.finish()
+    assert first == (page_pattern(3) + page_pattern(4))[4000:4200]
+    assert second == page_pattern(4)[100:150]
+    assert first_ppns == [device.ftl.translate(3), device.ftl.translate(4)]
+    assert second_ppns == [device.ftl.translate(4)]
+    assert device.controller.pages_sensed == 2
+    phases = [stage for stage in device.tracer.ambient.stages if stage.name == "nand_array"]
+    assert len(phases) == 1
+
+
+def test_byte_read_stages_cmb_only_when_asked():
+    device = make_device()
+    ByteRead(device.controller).extract(3, 0, 8)
+    assert device.cmb.staged_ppn(0) is None
+    ByteRead(device.controller, cmb=device.cmb).extract(5, 0, 8)
+    assert device.cmb.staged_ppn(0) == device.ftl.translate(5)
+    assert device.cmb.read(0, 4096) == page_pattern(5)
+
+
+def test_byte_read_payload_is_none_without_data():
+    device = make_device(transfer_data=False)
+    read = ByteRead(device.controller)
+    payload, ppns = read.extract(3, 100, 10)
+    assert payload is None
+    assert ppns == [device.ftl.translate(3)]
+    assert device.controller.pages_sensed == 1
 
 
 def test_enable_hmb_once():
