@@ -32,7 +32,7 @@ def _hash64(token: str) -> int:
 class HashRing:
     """Immutable consistent-hash ring: servers x vnodes -> circle points."""
 
-    __slots__ = ("servers", "vnodes", "replication", "seed", "_points", "_owners")
+    __slots__ = ("servers", "vnodes", "replication", "seed", "_points", "_owners", "_arcs")
 
     def __init__(
         self,
@@ -65,6 +65,36 @@ class HashRing:
         pairs.sort()
         self._points = [position for position, _ in pairs]
         self._owners = [server for _, server in pairs]
+        self._arcs = self._replica_table()
+
+    def _replica_table(self) -> list[tuple[str, ...]]:
+        """The replica tuple of every arc, plus the wrap-around arc.
+
+        Entry ``i`` serves keys that bisect to point ``i``: the first
+        ``min(replication, servers)`` distinct owners walking clockwise
+        from point ``i``.  Walking from point ``i`` finds ``owner[i]``
+        and then the walk from ``i + 1`` without ``owner[i]``, so one
+        counter-clockwise pass builds the table from one full walk.
+        """
+        owners = self._owners
+        total = len(owners)
+        want = min(self.replication, len(self.servers))
+        found: list[str] = []
+        for step in range(total):
+            owner = owners[step]
+            if owner not in found:
+                found.append(owner)
+                if len(found) == want:
+                    break
+        arcs: list[tuple[str, ...]] = [()] * (total + 1)
+        arcs[0] = arcs[total] = following = tuple(found)
+        for index in range(total - 1, 0, -1):
+            owner = owners[index]
+            following = (owner,) + tuple(
+                server for server in following if server != owner
+            )[: want - 1]
+            arcs[index] = following
+        return arcs
 
     # --- lookup -------------------------------------------------------
     def key_position(self, key: str) -> int:
@@ -74,21 +104,12 @@ class HashRing:
     def replicas(self, key: str) -> tuple[str, ...]:
         """Distinct servers owning ``key``, primary first.
 
-        Walks clockwise from the key's hash, skipping vnode points of
-        servers already collected, until ``replication`` distinct
-        servers are found (or every server is included).
+        The first ``replication`` distinct servers (or every server)
+        walking clockwise from the key's hash, skipping vnode points of
+        servers already collected.  Every arc's walk is precomputed
+        when the ring is built, so a lookup is a hash and a bisect.
         """
-        want = min(self.replication, len(self.servers))
-        start = bisect.bisect_right(self._points, self.key_position(key))
-        found: list[str] = []
-        total = len(self._owners)
-        for step in range(total):
-            owner = self._owners[(start + step) % total]
-            if owner not in found:
-                found.append(owner)
-                if len(found) == want:
-                    break
-        return tuple(found)
+        return self._arcs[bisect.bisect_right(self._points, _hash64(key))]
 
     def primary(self, key: str) -> str:
         return self.replicas(key)[0]

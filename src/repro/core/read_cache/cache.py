@@ -14,7 +14,7 @@ Table 4.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import CacheConfig, PipetteConfig
 from repro.core.read_cache.adaptive import AdaptiveThreshold
@@ -30,8 +30,7 @@ from repro.ssd.backends.base import BufferPlacement
 from repro.ssd.hmb import HostMemoryBuffer
 
 
-@dataclass(frozen=True)
-class CacheLookup:
+class CacheLookup(NamedTuple):
     """Outcome of one cache probe."""
 
     item: CacheItem | None

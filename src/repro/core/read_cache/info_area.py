@@ -10,19 +10,27 @@ lives in the HMB, both sides see it without extra round trips.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class InfoRecord:
-    """One fine-grained transfer descriptor."""
-
+class _InfoFields(NamedTuple):
     dest_addr: int
     byte_offset: int
     byte_length: int
 
-    def __post_init__(self) -> None:
-        if self.dest_addr < 0 or self.byte_offset < 0 or self.byte_length <= 0:
-            raise ValueError(f"invalid info record {self}")
+
+class InfoRecord(_InfoFields):
+    """One fine-grained transfer descriptor (immutable, checked at construction)."""
+
+    __slots__ = ()
+
+    def __new__(cls, dest_addr: int, byte_offset: int, byte_length: int) -> "InfoRecord":
+        if dest_addr < 0 or byte_offset < 0 or byte_length <= 0:
+            raise ValueError(
+                f"invalid info record (dest_addr={dest_addr}, byte_offset={byte_offset}, "
+                f"byte_length={byte_length})"
+            )
+        return tuple.__new__(cls, (dest_addr, byte_offset, byte_length))
 
 
 @dataclass

@@ -17,7 +17,7 @@ Implements the pieces Pipette interacts with:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.kernel.fs.allocator import BlockAllocator
 from repro.kernel.fs.extent import Extent
@@ -31,17 +31,24 @@ RESERVED_LBAS = 64
 ALLOC_CHUNK_PAGES = 256
 
 
-@dataclass(frozen=True)
-class FileRange:
-    """One physically contiguous piece of a resolved byte range."""
-
+class _RangeFields(NamedTuple):
     lba: int
     offset_in_page: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.offset_in_page < 0 or self.length <= 0:
+
+class FileRange(_RangeFields):
+    """One physically contiguous piece of a resolved byte range.
+
+    Immutable and checked at construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lba: int, offset_in_page: int, length: int) -> "FileRange":
+        if offset_in_page < 0 or length <= 0:
             raise ValueError("invalid file range")
+        return tuple.__new__(cls, (lba, offset_in_page, length))
 
 
 class ExtentFileSystem:

@@ -24,6 +24,15 @@ class QueueFull(Exception):
     """The tenant's submission ring has no free slot."""
 
 
+class _Backlog:
+    """Entries queued across every ring of one controller."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries = 0
+
+
 class TenantQueue:
     """One tenant's submission ring plus arbitration bookkeeping.
 
@@ -32,9 +41,15 @@ class TenantQueue:
     key off it), so a ring takes pushes only from its own tenant's
     backlog, in backlog order, and the arbiter pops only from the
     node's pump, which a running loop defers to its settle phase.
+
+    ``push`` and ``pop`` keep the owning controller's backlog count
+    (shared by all its rings) in step with the rings, so the
+    controller can tell it is idle without asking its arbiter.
     """
 
-    def __init__(self, tenant: str, depth: int = 64, *, weight: int = 1) -> None:
+    def __init__(
+        self, tenant: str, depth: int = 64, *, weight: int = 1, backlog: _Backlog | None = None
+    ) -> None:
         if weight <= 0:
             raise ValueError("arbitration weight must be positive")
         self.tenant = tenant
@@ -42,6 +57,7 @@ class TenantQueue:
         self.weight = weight
         self.submitted = 0
         self.fetched = 0
+        self._backlog = backlog if backlog is not None else _Backlog()
 
     def __len__(self) -> int:
         return len(self.ring)
@@ -55,10 +71,12 @@ class TenantQueue:
             raise QueueFull(self.tenant)
         self.ring.push(entry)
         self.submitted += 1
+        self._backlog.entries += 1
 
     def pop(self) -> object:
         entry = self.ring.pop()
         self.fetched += 1
+        self._backlog.entries -= 1
         return entry
 
 
@@ -138,11 +156,13 @@ class MultiQueueNvme:
         self.arbiter: Arbiter = factory()
         self.queues: list[TenantQueue] = []
         self._by_tenant: dict[str, TenantQueue] = {}
+        #: Entries queued across ``queues``, kept by their push/pop.
+        self._backlog = _Backlog()
 
     def add_queue(self, tenant: str, *, depth: int = 64, weight: int = 1) -> TenantQueue:
         if tenant in self._by_tenant:
             raise ValueError(f"duplicate tenant queue {tenant!r}")
-        queue = TenantQueue(tenant, depth, weight=weight)
+        queue = TenantQueue(tenant, depth, weight=weight, backlog=self._backlog)
         self.queues.append(queue)
         self._by_tenant[tenant] = queue
         return queue
@@ -152,14 +172,20 @@ class MultiQueueNvme:
 
     @property
     def pending(self) -> int:
-        return sum(len(queue) for queue in self.queues)
+        return self._backlog.entries
 
     def submit(self, tenant: str, entry: object) -> None:
         """Push into the tenant's ring; raises :class:`QueueFull`."""
         self._by_tenant[tenant].push(entry)
 
     def fetch(self) -> tuple[str, object] | None:
-        """Arbitrate and pop the next command; ``None`` if idle."""
+        """Arbitrate and pop the next command; ``None`` if idle.
+
+        An idle controller answers without asking its arbiter: a
+        ``select`` over all-empty rings changes no arbiter state.
+        """
+        if not self._backlog.entries:
+            return None
         index = self.arbiter.select(self.queues)
         if index is None:
             return None

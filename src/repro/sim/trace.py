@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from repro.sim import sanitize
 
@@ -66,28 +66,46 @@ PCIE = "pcie"
 #: Resource: NAND array time *not* attributed to a specific channel —
 #: used for derived serial (QD-1) array stages, never charged.
 NAND = "nand"
-_NAMED = (HOST, PCIE, NAND)
+_INF = math.inf
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class RequestDemand:
-    """Per-request resource demands (ns on each stage)."""
-
+class _DemandFields(NamedTuple):
     host_ns: float = 0.0
     nand_ns: float = 0.0
     channel: int = 0
     pcie_ns: float = 0.0
 
-    def __post_init__(self) -> None:
-        if min(self.host_ns, self.nand_ns, self.pcie_ns) < 0:
-            raise ValueError("demands must be non-negative")
-        if self.channel < 0:
+
+class RequestDemand(_DemandFields):
+    """Per-request resource demands (ns on each stage).
+
+    An immutable record built once per request: a tuple subclass whose
+    constructor checks every field, so a NaN, infinite or negative
+    demand fails here rather than later in a FIFO acquire.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, host_ns: float = 0.0, nand_ns: float = 0.0, channel: int = 0, pcie_ns: float = 0.0
+    ) -> "RequestDemand":
+        if not (0.0 <= host_ns < _INF and 0.0 <= nand_ns < _INF and 0.0 <= pcie_ns < _INF):
+            raise ValueError(
+                f"demands must be finite and non-negative, got host_ns={host_ns} "
+                f"nand_ns={nand_ns} pcie_ns={pcie_ns}"
+            )
+        if channel < 0:
             raise ValueError("channel must be non-negative")
+        return _new_tuple(cls, (host_ns, nand_ns, channel, pcie_ns))
 
 
-@dataclass(frozen=True, slots=True)
-class Stage:
-    """One costed step of a request: resource + name + duration."""
+class Stage(NamedTuple):
+    """One costed step of a request: resource + name + duration.
+
+    A plain named tuple: ``Tracer._record`` validates the fields before
+    it builds one, and a trace records several per request.
+    """
 
     #: ``HOST``, ``PCIE``, ``NAND`` or a flash channel index.
     resource: str | int
@@ -133,9 +151,12 @@ class StageTrace:
         """QD-1 latency: the sum of the critical-path stages."""
         return self._latency_ns
 
-    def latency_by_name(self) -> dict[str, float]:
-        """Critical-path nanoseconds per stage name (anatomy view)."""
-        return dict(self._by_name)
+    def latency_by_name(self) -> Mapping[str, float]:
+        """Critical-path nanoseconds per stage name (anatomy view).
+
+        A read-only view of the running sums, not a copy.
+        """
+        return MappingProxyType(self._by_name)
 
     def demand(self) -> RequestDemand:
         """Project the trace onto the three-stage queueing model.
@@ -247,28 +268,37 @@ class Tracer:
         trace and the ledger as they were.
         """
         ns = float(ns)
-        if not math.isfinite(ns):
+        if not 0.0 <= ns < _INF:
+            if math.isfinite(ns):
+                raise ValueError(f"negative stage duration {ns}")
             raise ValueError(f"non-finite stage duration {ns}")
-        if ns < 0:
-            raise ValueError(f"negative stage duration {ns}")
-        if charged and resource == NAND:
+        ledger = self.resources
+        is_channel = type(resource) is int
+        if is_channel:
+            if not 0 <= resource < ledger.channels:
+                raise ValueError(f"channel index {resource} out of range [0, {ledger.channels})")
+        elif charged and resource == NAND:
             raise ValueError(
                 "generic 'nand' stages are derived views and cannot be "
                 "charged; charge a specific channel instead"
             )
-        ledger = self.resources
-        is_channel = resource not in _NAMED
-        if is_channel and not 0 <= resource < ledger.channels:
-            raise ValueError(f"channel index {resource} out of range [0, {ledger.channels})")
 
-        stage = Stage(resource, name, ns, latency, charged)
-        trace = self.active
+        # Every field is checked above: build the tuple directly,
+        # without the frame of the generated ``Stage.__new__``.
+        stage = _new_tuple(Stage, (resource, name, ns, latency, charged))
+        stack = self._stack
+        trace = stack[-1] if stack else self.ambient
         trace.stages.append(stage)
         if latency:
             trace._latency_ns += ns
             by_name = trace._by_name
             by_name[name] = by_name.get(name, 0.0) + ns
-        if resource == HOST:
+        if is_channel:
+            if charged:
+                per_channel = trace._channel_ns
+                per_channel[resource] = per_channel.get(resource, 0.0) + ns
+                ledger.channel_busy_ns[resource] += ns
+        elif resource == HOST:
             trace._host_ns += ns
             if charged:
                 ledger.host_busy_ns += ns
@@ -276,10 +306,6 @@ class Tracer:
             trace._pcie_ns += ns
             if charged:
                 ledger.pcie_busy_ns += ns
-        elif is_channel and charged:
-            per_channel = trace._channel_ns
-            per_channel[resource] = per_channel.get(resource, 0.0) + ns
-            ledger.channel_busy_ns[resource] += ns
         return stage
 
 

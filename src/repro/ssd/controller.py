@@ -3,7 +3,9 @@
 The controller owns the primitives every read path composes:
 
 - ``sense_page``: translate an LBA, occupy the owning flash channel for
-  tR plus the ONFI bus transfer, and land the page in the read buffer;
+  tR plus the ONFI bus transfer, and land the page in the read buffer
+  (``sense_ppn`` does the same for a caller that already holds the
+  physical page, so each sensed page costs one ``translate``);
 - ``record_array_phase``: the serial QD-1 array phase of the pages
   one command sensed;
 - :class:`ByteRead`: one command's byte-granular read, the sense and
@@ -38,7 +40,7 @@ class FirmwareExtension(Protocol):
     def handle(self, command: NvmeCommand) -> NvmeCompletion: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadBufferSlot:
     lba: int
     content: bytes | None
@@ -75,7 +77,14 @@ class SSDController:
         Returns ``(content, nand_ns)`` where ``nand_ns`` is the array
         occupancy charged to the page's channel (tR + bus transfer).
         """
-        ppn = self.ftl.translate(lba)
+        return self.sense_ppn(lba, self.ftl.translate(lba))
+
+    def sense_ppn(self, lba: int, ppn: int) -> tuple[bytes | None, float]:
+        """``sense_page`` for a caller that already translated ``lba``.
+
+        ``ppn`` must be ``ftl.translate(lba)``; callers that also need
+        the physical page (its channel, CMB staging) translate once.
+        """
         if self.config.ssd.read_buffer_hits:
             for slot in reversed(self.read_buffer):
                 if slot.lba == lba:
@@ -165,11 +174,10 @@ class SSDController:
         pages: list[bytes | None] = []
         nand_ns_each: list[float] = []
         for lba in range(command.lba, command.lba + command.nlb):
-            content, nand_ns = self.sense_page(lba)
+            ppn = self.ftl.translate(lba)
+            content, nand_ns = self.sense_ppn(lba, ppn)
             penalty = self.block_page_extra_ns()
-            self.tracer.channel(
-                self.nand.channel_of(self.ftl.translate(lba)), "block_penalty", penalty
-            )
+            self.tracer.channel(self.nand.channel_of(ppn), "block_penalty", penalty)
             pages.append(content)
             nand_ns_each.append(nand_ns + penalty)
         return NvmeCompletion(cid=command.cid, result=(pages, nand_ns_each))
@@ -226,8 +234,9 @@ class ByteRead:
         for page_lba in range(lba, lba + -(-end // config.ssd.page_size)):
             ppn = known.get(page_lba)
             if ppn is None:
-                content, nand_ns = controller.sense_page(page_lba)
-                ppn = known[page_lba] = controller.ftl.translate(page_lba)
+                ppn = controller.ftl.translate(page_lba)
+                content, nand_ns = controller.sense_ppn(page_lba, ppn)
+                known[page_lba] = ppn
                 pages[page_lba] = content
                 self._nand_ns.append(nand_ns)
                 if self.cmb is not None:

@@ -156,11 +156,10 @@ class SSDDevice:
             self.tracer.host("completion", timing.completion_ns, charged=False)
 
         for lba in background_lbas or []:
-            content, _ = self.controller.sense_page(lba)
+            ppn = self.ftl.translate(lba)
+            content, _ = self.controller.sense_ppn(lba, ppn)
             penalty = self.controller.block_page_extra_ns()
-            self.tracer.channel(
-                self.nand.channel_of(self.ftl.translate(lba)), "block_penalty", penalty
-            )
+            self.tracer.channel(self.nand.channel_of(ppn), "block_penalty", penalty)
             pages[lba] = content
             self.link.dma_to_host(
                 self.tracer, page_size, name="readahead_xfer", latency=False

@@ -29,7 +29,7 @@ class NvmeOpcode(enum.IntEnum):
     SET_FEATURES_HMB = 0x0D
 
 
-@dataclass
+@dataclass(slots=True)
 class FineReadRange:
     """One byte range of a reconstructed fine-grained read command."""
 
@@ -40,7 +40,7 @@ class FineReadRange:
     dest_addr: int
 
 
-@dataclass
+@dataclass(slots=True)
 class NvmeCommand:
     """A submission-queue entry."""
 
@@ -55,7 +55,7 @@ class NvmeCommand:
     ranges: list[FineReadRange] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class NvmeCompletion:
     """A completion-queue entry."""
 

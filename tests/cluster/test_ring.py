@@ -1,5 +1,9 @@
 """Consistent-hash ring properties: movement bound, disjointness, seeding."""
 
+import bisect
+import hashlib
+import random
+
 import pytest
 
 from repro.cluster.ring import HashRing
@@ -89,3 +93,55 @@ def test_membership_change_returns_new_ring():
     assert grown.servers == SERVERS + ("s4",)
     assert grown.vnodes == ring.vnodes
     assert grown.seed == ring.seed
+
+
+def _clockwise_walk(ring):
+    """A lookup by a plain clockwise walk over the ring's vnode points."""
+    points = sorted(
+        (
+            int.from_bytes(
+                hashlib.sha256(f"{ring.seed}:{server}:{index}".encode()).digest()[:8], "big"
+            ),
+            server,
+        )
+        for server in ring.servers
+        for index in range(ring.vnodes)
+    )
+    positions = [position for position, _ in points]
+    want = min(ring.replication, len(ring.servers))
+
+    def walk(key):
+        start = bisect.bisect_right(positions, ring.key_position(key))
+        found = []
+        for step in range(len(points)):
+            owner = points[(start + step) % len(points)][1]
+            if owner not in found:
+                found.append(owner)
+                if len(found) == want:
+                    break
+        return tuple(found)
+
+    return walk
+
+
+@pytest.mark.parametrize(
+    ("servers", "replication", "vnodes"),
+    [
+        (SERVERS, 2, 64),
+        (SERVERS, 1, 16),
+        (("a", "b", "c"), 3, 8),
+        (("a", "b"), 5, 4),
+        (("a",), 2, 3),
+    ],
+)
+def test_replicas_match_a_clockwise_walk(servers, replication, vnodes):
+    rng = random.Random(5)
+    base = HashRing(servers, replication=replication, vnodes=vnodes, seed=2)
+    rings = [base, base.with_server("joined")]
+    if len(servers) > 1:
+        rings.append(base.without_server(servers[0]))
+    keys = [f"/data/file{rng.randrange(9)}@{rng.getrandbits(40)}" for _ in range(10_000)]
+    for ring in rings:
+        walk = _clockwise_walk(ring)
+        for key in keys:
+            assert ring.replicas(key) == walk(key), key

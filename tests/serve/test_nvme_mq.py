@@ -1,5 +1,7 @@
 """Tests for per-tenant NVMe submission rings and arbitration."""
 
+import random
+
 import pytest
 
 from repro.serve.nvme_mq import (
@@ -135,3 +137,42 @@ def test_arbiters_are_deterministic():
 
     assert run(RoundRobinArbiter) == run(RoundRobinArbiter)
     assert run(WeightedRoundRobinArbiter) == run(WeightedRoundRobinArbiter)
+
+
+@pytest.mark.parametrize("arbitration", ["rr", "wrr"])
+def test_pending_tracks_ring_lengths_through_a_seeded_sequence(arbitration):
+    rng = random.Random(11)
+    mq = MultiQueueNvme(arbitration)
+    queues = [mq.add_queue(name, depth=8, weight=index + 1) for index, name in enumerate("abc")]
+    for step in range(3_000):
+        roll = rng.random()
+        queue = rng.choice(queues)
+        if roll < 0.3 and not queue.full:
+            mq.submit(queue.tenant, step)
+        elif roll < 0.55 and not queue.full:
+            # The server pushes to its tenant ring directly.
+            queue.push(step)
+        elif roll < 0.7 and len(queue):
+            queue.pop()
+        else:
+            mq.fetch()
+        assert mq.pending == sum(len(ring) for ring in queues)
+
+
+def test_idle_fetch_leaves_wrr_credits_untouched():
+    mq = MultiQueueNvme("wrr")
+    mq.add_queue("heavy", weight=3)
+    mq.add_queue("light", weight=1)
+    mq.submit("heavy", 1)
+    mq.submit("light", 2)
+    mq.fetch()
+    mq.fetch()
+    arbiter = mq.arbiter
+    state = (list(arbiter._credits), arbiter._next)
+    assert mq.pending == 0
+    assert mq.fetch() is None
+    assert (arbiter._credits, arbiter._next) == state
+    # The same fetches after the idle one as without it.
+    mq.submit("heavy", 3)
+    mq.submit("light", 4)
+    assert _drain(mq) == ["heavy", "light"]

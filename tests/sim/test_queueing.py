@@ -96,3 +96,15 @@ def test_validation():
         RequestDemand(host_ns=-1.0)
     empty = PipelineSimulator().run([], queue_depth=1)
     assert empty.throughput_ops == 0.0
+
+
+@pytest.mark.parametrize("field", ["host_ns", "nand_ns", "pcie_ns"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_demand_rejects_non_finite_and_negative_ns(field, value):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        RequestDemand(**{field: value})
+
+
+def test_demand_rejects_negative_channel():
+    with pytest.raises(ValueError, match="channel"):
+        RequestDemand(channel=-1)

@@ -158,3 +158,47 @@ def test_nvme_queue_sees_block_reads():
     device.block_read([0, 1, 4])
     # Two contiguous runs -> two READ commands.
     assert device.queue.submitted == 2
+
+
+def _count_translates(monkeypatch, ftl) -> list[int]:
+    calls: list[int] = []
+    translate = ftl.translate
+
+    def counting(lba: int) -> int:
+        calls.append(lba)
+        return translate(lba)
+
+    monkeypatch.setattr(ftl, "translate", counting)
+    return calls
+
+
+def test_block_read_translates_each_page_once(monkeypatch):
+    device = make_device()
+    calls = _count_translates(monkeypatch, device.ftl)
+    device.block_read([10, 11, 12], background_lbas=[13, 14])
+    assert sorted(calls) == [10, 11, 12, 13, 14]
+
+
+def test_byte_read_translates_each_sensed_page_once(monkeypatch):
+    device = make_device()
+    calls = _count_translates(monkeypatch, device.ftl)
+    read = ByteRead(device.controller)
+    read.extract(7, 4000, 200)  # spans pages 7 and 8
+    read.extract(8, 0, 64)  # page 8 is already sensed for this command
+    read.finish()
+    assert calls == [7, 8]
+
+
+def test_pipette_fine_read_miss_translates_each_page_once(monkeypatch):
+    from repro.kernel.vfs import O_FINE_GRAINED, O_RDWR
+    from repro.system import build_system
+    from tests.conftest import small_sim_config
+
+    system = build_system("pipette", small_sim_config())
+    system.create_file("/t", 1 * MIB)
+    fd = system.open("/t", O_RDWR | O_FINE_GRAINED)
+    calls = _count_translates(monkeypatch, system.device.ftl)
+    system.read(fd, 1000, 128)
+    assert len(calls) == 1
+    system.read(fd, 2 * 4096 - 64, 128)  # one piece across two pages
+    assert len(calls) == 3
