@@ -113,6 +113,22 @@ def test_pipette_fine_read_miss(benchmark):
     benchmark(read_one)
 
 
+def test_block_read_miss(benchmark):
+    """One 8 KiB Block I/O read of pages not in the page cache."""
+    system = build_system("block-io", digest_config(transfer_data=False))
+    size = 192 * MIB
+    system.create_file("/bench.bin", size)
+    fd = system.open("/bench.bin", O_RDWR)
+    # A 64 KiB stride clears the read-ahead window, and the 1 MiB page
+    # cache has evicted a page long before the offsets wrap round.
+    offsets = (index * 64 * KIB % size for index in itertools.count())
+
+    def read_one():
+        system.read(fd, next(offsets), 8 * KIB)
+
+    benchmark(read_one)
+
+
 def test_ring_replicas(benchmark):
     ring = HashRing(("s0", "s1", "s2", "s3"), vnodes=64, replication=2)
     benchmark(ring.replicas, "/data/file3@123456")

@@ -6,13 +6,12 @@ The package is organized as a full storage stack simulator:
   (bottleneck) timing model shared by every simulated system.
 - :mod:`repro.ssd` -- the simulated NVMe SSD: NAND geometry and timing,
   page-mapped FTL, PCIe / DMA / MMIO interconnect models, HMB and CMB
-  memory regions, and the device controller with Pipette's fine-grained
-  Read Engine.
+  memory regions, and the device controller.
 - :mod:`repro.kernel` -- the host I/O stack substrate: an extent-based
   Ext4-like file system, page cache with read-ahead, and a VFS facade
   whose block read path submits page reads to the device.
-- :mod:`repro.core` -- the Pipette framework itself: access detector,
-  read dispatcher, fine-grained read cache (slab allocator, per-file hash
+- :mod:`repro.core` -- the Pipette framework itself: constructor,
+  Read Engine, fine-grained read cache (slab allocator, per-file hash
   lookup, Info/TempBuf areas, adaptive caching, slab reassignment and
   dynamic allocation), and the ``PipetteSystem`` end-to-end framework.
 - :mod:`repro.baselines` -- Block I/O, 2B-SSD (MMIO and DMA modes) and

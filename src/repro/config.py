@@ -56,7 +56,7 @@ class SSDSpec:
     #: without re-reading NAND.  Off by default: the paper's latency
     #: model (Fig. 8) shows no device-side caching effect, so the
     #: calibrated reproduction keeps the array on every read; enable to
-    #: study the interaction (see the device read-buffer ablation).
+    #: study the interaction.
     read_buffer_hits: bool = False
 
     def __post_init__(self) -> None:

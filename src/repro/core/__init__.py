@@ -1,12 +1,5 @@
-"""The Pipette framework: detector, dispatcher, read cache, engine."""
+"""The Pipette framework: constructor, read cache, engine."""
 
-from repro.core.detector import FineGrainedAccessDetector
-from repro.core.dispatcher import DispatchDecision, ReadDispatcher
 from repro.core.framework import PipetteSystem
 
-__all__ = [
-    "DispatchDecision",
-    "FineGrainedAccessDetector",
-    "PipetteSystem",
-    "ReadDispatcher",
-]
+__all__ = ["PipetteSystem"]

@@ -1,12 +1,12 @@
-"""Fine-Grained Access Constructor + Requester (paper section 3.1.2).
+"""Fine-Grained Access Constructor (paper section 3.1.2).
 
 On a fine-grained cache miss, the Constructor asks the LBA Extractor
 (a file-system extension, :meth:`ExtentFileSystem.extract_ranges`) for
 the flash locations of the needed bytes — bypassing the generic block
-layer — writes one Info Area record per physically contiguous piece
+layer — and writes one Info Area record per physically contiguous piece
 (destination address, byte offset, byte length; host-side step 3a of
-Figure 4) and has the Requester submit the reconstructed
-``FINE_GRAINED_READ`` command to the SSD.
+Figure 4).  The ranges it returns are the reconstructed read the
+device-side Read Engine executes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,17 @@ from dataclasses import dataclass
 from repro.core.read_cache.info_area import InfoArea, InfoRecord
 from repro.kernel.fs.ext4 import ExtentFileSystem
 from repro.kernel.fs.inode import Inode
-from repro.ssd.device import SSDDevice
-from repro.ssd.nvme import FineReadRange, NvmeCommand, NvmeOpcode
+
+
+@dataclass(slots=True)
+class FineReadRange:
+    """One byte range of a reconstructed fine-grained read."""
+
+    lba: int
+    offset_in_page: int
+    length: int
+    #: Destination address inside the HMB (from the Info Area record).
+    dest_addr: int
 
 
 @dataclass
@@ -30,12 +39,12 @@ class FineGrainedConstructor:
 
     def construct_multi(
         self, inode: Inode, requests: list[tuple[int, int, int]]
-    ) -> NvmeCommand:
+    ) -> list[FineReadRange]:
         """Resolve LBAs and stage Info records for (offset, size, dest) reads.
 
-        One command covers them all: the first is the missed read, any
-        others are spatial-prefetch neighbors riding its command and
-        sharing its flash page senses.
+        One reconstructed read covers them all: the first is the missed
+        read, any others are spatial-prefetch neighbors riding along
+        and sharing its flash page senses.
         """
         ranges: list[FineReadRange] = []
         for offset, size, dest_addr in requests:
@@ -57,23 +66,7 @@ class FineGrainedConstructor:
                 )
                 cursor += piece.length
         self.constructed += 1
-        return NvmeCommand(opcode=NvmeOpcode.FINE_GRAINED_READ, ranges=ranges)
+        return ranges
 
 
-@dataclass
-class Requester:
-    """Submits reconstructed reads to the SSD."""
-
-    device: SSDDevice
-    submitted: int = 0
-
-    def submit(self, command: NvmeCommand):
-        """Push the command through the NVMe queue; returns the completion."""
-        completion = self.device.submit(command)
-        if not completion.success:
-            raise RuntimeError("fine-grained read rejected by device")
-        self.submitted += 1
-        return completion
-
-
-__all__ = ["FineGrainedConstructor", "Requester"]
+__all__ = ["FineGrainedConstructor", "FineReadRange"]

@@ -1,7 +1,7 @@
 """Device-side Fine-Grained Read Engine (paper section 3.1.2, Figure 4).
 
-Installed in the controller as the handler for the vendor
-``FINE_GRAINED_READ`` opcode.  For each reconstructed request it:
+Called by the host with the ranges the Constructor built.  For each
+reconstructed request it:
 
 1. loads the needed NAND pages into the pre-allocated read buffer
    (charging the owning flash channels);
@@ -18,15 +18,15 @@ traffic savings.
 from __future__ import annotations
 
 from repro.config import SimConfig
+from repro.core.constructor import FineReadRange
 from repro.core.read_cache.info_area import InfoArea
 from repro.ssd.controller import ByteRead, SSDController
 from repro.ssd.hmb import HostMemoryBuffer
-from repro.ssd.nvme import NvmeCommand, NvmeCompletion
 from repro.ssd.pcie import PcieLink
 
 
 class FineGrainedReadEngine:
-    """Firmware extension executing reconstructed fine-grained reads."""
+    """Device firmware executing reconstructed fine-grained reads."""
 
     def __init__(
         self,
@@ -44,12 +44,16 @@ class FineGrainedReadEngine:
         self.commands_handled = 0
         self.ranges_served = 0
 
-    def handle(self, command: NvmeCommand) -> NvmeCompletion:
-        """Execute one ``FINE_GRAINED_READ`` command."""
+    def read(self, ranges: list[FineReadRange]) -> None:
+        """Execute one reconstructed read.
+
+        Raises ``RuntimeError`` if an Info record does not match its
+        range (the host and device disagree on the ring's contents).
+        """
         tracer = self.controller.tracer
         placement = self.controller.placement
         read = ByteRead(self.controller)
-        for fine_range in command.ranges:
+        for fine_range in ranges:
             # Phase 1: load NAND pages into the read buffer.
             payload, ppns = read.extract(
                 fine_range.lba, fine_range.offset_in_page, fine_range.length
@@ -61,7 +65,9 @@ class FineGrainedReadEngine:
                 record.dest_addr != fine_range.dest_addr
                 or record.byte_length != fine_range.length
             ):
-                return NvmeCompletion(cid=command.cid, status=0x02)
+                raise RuntimeError(
+                    f"Info record {record} does not match range {fine_range}"
+                )
             # Resolve the destination's placement handle (staged by the
             # host with the Info record) and account the served range
             # against it — on an FDP backend this is the per-handle
@@ -77,7 +83,6 @@ class FineGrainedReadEngine:
 
         read.finish()
         self.commands_handled += 1
-        return NvmeCompletion(cid=command.cid)
 
 
 __all__ = ["FineGrainedReadEngine"]

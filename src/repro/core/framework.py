@@ -4,18 +4,20 @@ End-to-end read flow (paper Figure 2):
 
 1. VFS receives the read; the page cache is probed first (a write may
    have left fresher data there — the consistency rule of 3.1.3).
-2. The **Detector** verifies byte-datapath permission and records the
-   access range; the **Dispatcher** routes by size: page-sized and
-   larger reads keep the conventional block path (read-ahead and page
-   cache intact), smaller reads enter the fine-grained path.
+2. The **Detector** checks byte-datapath permission (the
+   ``O_FINE_GRAINED`` open flag) and the **Dispatcher** routes by size:
+   page-sized and larger reads keep the conventional block path
+   (read-ahead and page cache intact), smaller reads of permitted files
+   enter the fine-grained path.  Both steps are the one predicate in
+   :meth:`PipetteSystem._read`.
 3. The **Fine-Grained Read Cache** is probed via the per-file hash
    lookup table; a hit is served from host DRAM.
 4. On a miss the **Constructor** resolves LBAs through the **LBA
-   Extractor**, writes Info Area records (destination = a Data Area
-   item if the adaptive mechanism admits the range, else TempBuf), and
-   the **Requester** submits the reconstructed command; the device-side
-   **Read Engine** senses flash and DMAs only the demanded bytes into
-   the HMB.
+   Extractor** and writes Info Area records (destination = a Data Area
+   item if the adaptive mechanism admits the range, else TempBuf); the
+   **Requester** step hands the reconstructed read to the device-side
+   **Read Engine**, which senses flash and DMAs only the demanded bytes
+   into the HMB.
 
 Writes take the traditional buffered path and delete any overlapping
 fine-grained cache items, so later reads see either the fresher page
@@ -25,9 +27,7 @@ cache or the latest flash data.
 from __future__ import annotations
 
 from repro.config import SimConfig
-from repro.core.constructor import FineGrainedConstructor, Requester
-from repro.core.detector import FineGrainedAccessDetector
-from repro.core.dispatcher import DispatchDecision, ReadDispatcher
+from repro.core.constructor import FineGrainedConstructor
 from repro.core.engine import FineGrainedReadEngine
 from repro.core.read_cache.cache import FineGrainedReadCache
 from repro.kernel.page_cache import PageCache
@@ -64,10 +64,7 @@ class PipetteSystem(StorageSystem):
             transfer_data=config.transfer_data,
             placement=self.device.placement,
         )
-        self.detector = FineGrainedAccessDetector(page_size=config.ssd.page_size)
-        self.dispatcher = ReadDispatcher(threshold_bytes=config.pipette.dispatch_threshold_bytes)
         self.constructor = FineGrainedConstructor(fs=self.fs, info_area=self.cache.info_area)
-        self.requester = Requester(device=self.device)
         self.engine = FineGrainedReadEngine(
             config=config,
             controller=self.device.controller,
@@ -75,7 +72,6 @@ class PipetteSystem(StorageSystem):
             hmb=self.device.hmb,
             info_area=self.cache.info_area,
         )
-        self.device.install_fine_read_engine(self.engine)
         #: Reads served straight from the page cache on the fine path.
         self.fine_page_cache_hits = 0
 
@@ -88,10 +84,9 @@ class PipetteSystem(StorageSystem):
 
     # --- read ----------------------------------------------------------------
     def _read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
-        decision = self.dispatcher.decide(entry, size)
-        if decision is DispatchDecision.BLOCK or not self.detector.permitted(entry):
-            return self.block_path.read(entry, offset, size)
-        return self._fine_read(entry, offset, size)
+        if entry.fine_grained and 0 < size < self.config.pipette.dispatch_threshold_bytes:
+            return self._fine_read(entry, offset, size)
+        return self.block_path.read(entry, offset, size)
 
     def _fine_read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
         timing = self.config.timing
@@ -109,7 +104,6 @@ class PipetteSystem(StorageSystem):
             self.fine_page_cache_hits += 1
             return data
 
-        self.detector.record(inode.ino, offset, size)
         probe = self.cache.lookup(inode.ino, offset, size)
         if probe.hit:
             assert probe.item is not None
@@ -171,14 +165,14 @@ class PipetteSystem(StorageSystem):
         """Fetch a missed range from flash into the cache buffer.
 
         The default implementation is the paper's HMB design: the
-        Constructor stages Info records, the Requester submits the
-        reconstructed command, and the device-side Read Engine DMAs the
-        demanded bytes straight to ``dest_addr`` over the persistent
-        HMB mapping.  The engine records its stages (channel senses,
-        serial array phase, link transfers) into the active trace.
+        Constructor stages Info records and returns the reconstructed
+        read, and the device-side Read Engine DMAs the demanded bytes
+        straight to ``dest_addr`` over the persistent HMB mapping.  The
+        engine records its stages (channel senses, serial array phase,
+        link transfers) into the active trace.
         """
         requests = [(offset, size, dest_addr)] + list(prefetch or [])
-        self.requester.submit(self.constructor.construct_multi(inode, requests))
+        self.engine.read(self.constructor.construct_multi(inode, requests))
 
     def _try_page_cache(self, inode, offset: int, size: int) -> tuple[bool, bytes | None]:
         """Serve a fine read from resident pages, if all are present.

@@ -312,7 +312,7 @@ class FineGrainedReadCache:
     @property
     def usage_bytes(self) -> int:
         """Total memory footprint (data slabs + overflow + rings)."""
-        fixed = self.info_area.capacity * 12 + self.tempbuf.size
+        fixed = self.config.info_area_bytes + self.tempbuf.size
         return self.allocator.used_bytes() + self.overflow_bytes + fixed
 
     @property

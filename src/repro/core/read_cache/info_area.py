@@ -57,11 +57,6 @@ class InfoArea:
     def full(self) -> bool:
         return (self.tail + 1) % self.capacity == self.head
 
-    @property
-    def record_bytes(self) -> int:
-        """Wire size of one record (addr + offset + length, 8+2+2)."""
-        return 12
-
     # --- host side -----------------------------------------------------------
     def push(self, record: InfoRecord) -> None:
         """Host: append one record and advance the tail (step 3a)."""

@@ -31,6 +31,8 @@ class FileLookupTable:
     _offsets: list[tuple[int, int]] = field(default_factory=list)
     #: Access counts for ranges seen but not (yet) cached.
     _ghosts: OrderedDict = field(default_factory=OrderedDict)
+    #: Longest item ever inserted; bounds the leftward overlap scan.
+    _longest: int = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -45,6 +47,8 @@ class FileLookupTable:
             raise KeyError(f"range {key} already cached for ino {self.ino}")
         self._items[key] = item
         bisect.insort(self._offsets, key)
+        if item.length > self._longest:
+            self._longest = item.length
         # The range is resident now; its ghost entry is obsolete.
         self._ghosts.pop(key, None)
 
@@ -69,17 +73,12 @@ class FileLookupTable:
             if start + item_length > offset:
                 found.append(self._items[(start, item_length)])
                 index -= 1
-            elif start + self._max_item_length() <= offset:
+            elif start + self._longest <= offset:
                 break
             else:
                 index -= 1
         found.reverse()
         return found
-
-    def _max_item_length(self) -> int:
-        # Fine-grained items never exceed one page; used to bound the
-        # leftward overlap scan.
-        return 4096
 
     def items(self) -> list[CacheItem]:
         return list(self._items.values())

@@ -4,8 +4,8 @@
 section 2.1 end to end: VFS -> page cache (with read-ahead) -> block
 layer -> device, plus the write path (dirty pages in the page cache,
 flushed on fsync or eviction).  The block layer's host cost is the
-``block_layer`` stage; the device merges the missed pages into
-contiguous runs, one NVMe READ each.  Both the Block I/O
+``block_layer`` stage; the device senses the missed pages in LBA
+order and returns them in one transfer.  Both the Block I/O
 baseline and Pipette's coarse-grained dispatch reuse this object.
 """
 

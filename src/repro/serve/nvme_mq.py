@@ -3,11 +3,11 @@
 NVMe controllers fetch commands from many submission queues and the
 spec defines how they pick: round-robin, or weighted round-robin with
 per-queue credits (NVMe 1.2 §4.11).  This module models exactly that
-decision layered on the ring structures of :mod:`repro.ssd.nvme`: each
-tenant owns a real :class:`~repro.ssd.nvme.SubmissionQueue` (head/tail
-arithmetic, genuine full detection — which is what the queue-full QoS
-policy keys off), and an :class:`Arbiter` chooses which non-empty ring
-the device services next whenever a device slot frees.
+decision: each tenant owns a FIFO submission ring that, like an NVMe
+ring of ``depth`` slots, is full at ``depth - 1`` entries (which is
+what the queue-full QoS policy keys off), and an :class:`Arbiter`
+chooses which non-empty ring the device services next whenever a
+device slot frees.
 
 Arbitration order is a pure function of the submission history, so the
 serving layer stays deterministic.
@@ -16,8 +16,7 @@ serving layer stays deterministic.
 from __future__ import annotations
 
 import abc
-
-from repro.ssd.nvme import SubmissionQueue
+from collections import deque
 
 
 class QueueFull(Exception):
@@ -53,7 +52,9 @@ class TenantQueue:
         if weight <= 0:
             raise ValueError("arbitration weight must be positive")
         self.tenant = tenant
-        self.ring = SubmissionQueue(depth)
+        self.ring: deque[object] = deque()
+        #: An NVMe ring of ``depth`` slots holds ``depth - 1`` entries.
+        self.capacity = depth - 1
         self.weight = weight
         self.submitted = 0
         self.fetched = 0
@@ -64,17 +65,17 @@ class TenantQueue:
 
     @property
     def full(self) -> bool:
-        return self.ring.full
+        return len(self.ring) >= self.capacity
 
     def push(self, entry: object) -> None:
-        if self.ring.full:
+        if len(self.ring) >= self.capacity:
             raise QueueFull(self.tenant)
-        self.ring.push(entry)
+        self.ring.append(entry)
         self.submitted += 1
         self._backlog.entries += 1
 
     def pop(self) -> object:
-        entry = self.ring.pop()
+        entry = self.ring.popleft()
         self.fetched += 1
         self._backlog.entries -= 1
         return entry

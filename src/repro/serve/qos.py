@@ -58,6 +58,8 @@ class TenantQoS:
             raise ValueError(f"invalid rate limit {self.rate_limit_qps!r}")
         if self.burst <= 0:
             raise ValueError("burst must be positive")
+        if self.queue_depth < 2 or self.queue_depth & (self.queue_depth - 1):
+            raise ValueError(f"queue depth must be a power of two >= 2, got {self.queue_depth}")
         if self.full_policy not in (BLOCK, SHED):
             raise ValueError(f"unknown queue-full policy {self.full_policy!r}")
 

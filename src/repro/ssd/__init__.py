@@ -9,18 +9,10 @@ from repro.ssd.ftl import FlashTranslationLayer, WearReport
 from repro.ssd.hmb import HostMemoryBuffer
 from repro.ssd.mmio import MmioWindow
 from repro.ssd.nand import FlashArray, page_pattern
-from repro.ssd.nvme import (
-    CompletionQueue,
-    NvmeCommand,
-    NvmeOpcode,
-    NvmeQueuePair,
-    SubmissionQueue,
-)
 from repro.ssd.pcie import PcieLink
 
 __all__ = [
     "AdminState",
-    "CompletionQueue",
     "ControllerMemoryBuffer",
     "DmaEngine",
     "FaultModel",
@@ -30,12 +22,8 @@ __all__ = [
     "IdentifyController",
     "MmioWindow",
     "NandReadError",
-    "NvmeCommand",
-    "NvmeOpcode",
-    "NvmeQueuePair",
     "PcieLink",
     "SSDDevice",
-    "SubmissionQueue",
     "WearReport",
     "page_pattern",
 ]

@@ -1,4 +1,4 @@
-"""SSD controller: read buffer, NAND scheduling, command execution.
+"""SSD controller: read buffer, NAND scheduling, page senses.
 
 The controller owns the primitives every read path composes:
 
@@ -11,19 +11,20 @@ The controller owns the primitives every read path composes:
 - :class:`ByteRead`: one command's byte-granular read, the sense and
   slice every byte path shares (Pipette's Read Engine, the CMB
   variants, Pipette without cache); each keeps only its transport;
-- ``block_page_extra_ns``: the device-side serialization penalty paid
-  only by full-page block reads (see DESIGN.md section 5);
-- ``execute``: the NVMe dispatch used by the queue pair.
+- ``block_sense``: a block read's full-page senses, each paying the
+  device-side serialization penalty only full-page block reads pay
+  (see DESIGN.md section 5).
 
-The fine-grained Read Engine (:mod:`repro.core.engine`) is installed as
-a firmware extension and handles ``FINE_GRAINED_READ`` commands.
+Callers invoke these directly: the block path through
+:meth:`repro.ssd.device.SSDDevice.block_read`, the fine-grained path
+through Pipette's Read Engine (:mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable
 
 from repro.config import SimConfig
 from repro.sim.trace import Tracer
@@ -31,13 +32,6 @@ from repro.ssd.backends.base import BufferPlacement
 from repro.ssd.cmb import ControllerMemoryBuffer
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.nand import FlashArray
-from repro.ssd.nvme import NvmeCommand, NvmeCompletion, NvmeOpcode
-
-
-class FirmwareExtension(Protocol):
-    """Interface of an installed vendor-command handler."""
-
-    def handle(self, command: NvmeCommand) -> NvmeCompletion: ...
 
 
 @dataclass(slots=True)
@@ -48,7 +42,7 @@ class ReadBufferSlot:
 
 @dataclass
 class SSDController:
-    """Device-side execution engine."""
+    """Device-side read buffer and flash scheduling."""
 
     config: SimConfig
     nand: FlashArray
@@ -60,7 +54,6 @@ class SSDController:
     #: (conventional stream unless an FDP-style backend segregates).
     placement: BufferPlacement | None = None
     read_buffer: list[ReadBufferSlot] = field(default_factory=list)
-    _extensions: dict[NvmeOpcode, FirmwareExtension] = field(default_factory=dict)
     pages_sensed: int = 0
     read_buffer_hits: int = 0
     #: Extra read attempts caused by injected transient faults.
@@ -120,14 +113,25 @@ class SSDController:
             rounds = math.ceil(len(per_page_ns) / self.config.ssd.channels)
             self.tracer.serial_nand("nand_array", rounds * max(per_page_ns))
 
-    def block_page_extra_ns(self) -> float:
-        """Device-side penalty for a full-page block read.
+    def block_sense(self, lbas: Iterable[int]) -> tuple[list[bytes | None], list[float]]:
+        """Sense full pages for a block read, in the order given.
 
-        Charged on top of ``sense_page``; models the platform's
-        inability to read a striped page from parallel channels
-        synchronously (paper section 4.2 discussion of Fig. 8).
+        Returns ``(pages, nand_ns_each)``: each page's content and its
+        array occupancy including the block-read penalty, which is
+        also charged to the page's channel.  The penalty models the
+        platform's inability to read a striped page from parallel
+        channels synchronously (paper section 4.2 discussion of Fig. 8).
         """
-        return float(self.config.timing.block_page_penalty_ns)
+        pages: list[bytes | None] = []
+        nand_ns_each: list[float] = []
+        penalty = float(self.config.timing.block_page_penalty_ns)
+        for lba in lbas:
+            ppn = self.ftl.translate(lba)
+            content, nand_ns = self.sense_ppn(lba, ppn)
+            self.tracer.channel(self.nand.channel_of(ppn), "block_penalty", penalty)
+            pages.append(content)
+            nand_ns_each.append(nand_ns + penalty)
+        return pages, nand_ns_each
 
     def program_page(self, lba: int, data: bytes) -> float:
         """Write one page through the FTL; returns NAND occupancy (ns)."""
@@ -150,48 +154,6 @@ class SSDController:
 
     def _buffer_invalidate(self, lba: int) -> None:
         self.read_buffer = [slot for slot in self.read_buffer if slot.lba != lba]
-
-    # --- firmware extensions ---------------------------------------------
-    def install_extension(self, opcode: NvmeOpcode, extension: FirmwareExtension) -> None:
-        """Install a vendor-command handler (Pipette's Read Engine)."""
-        self._extensions[opcode] = extension
-
-    # --- NVMe dispatch ----------------------------------------------------
-    def execute(self, command: NvmeCommand) -> NvmeCompletion:
-        """Execute one NVMe command; returns its completion."""
-        if command.opcode == NvmeOpcode.READ:
-            return self._execute_block_read(command)
-        if command.opcode == NvmeOpcode.WRITE:
-            return self._execute_block_write(command)
-        if command.opcode == NvmeOpcode.FLUSH:
-            return NvmeCompletion(cid=command.cid)
-        extension = self._extensions.get(command.opcode)
-        if extension is not None:
-            return extension.handle(command)
-        return NvmeCompletion(cid=command.cid, status=0x01)  # invalid opcode
-
-    def _execute_block_read(self, command: NvmeCommand) -> NvmeCompletion:
-        pages: list[bytes | None] = []
-        nand_ns_each: list[float] = []
-        for lba in range(command.lba, command.lba + command.nlb):
-            ppn = self.ftl.translate(lba)
-            content, nand_ns = self.sense_ppn(lba, ppn)
-            penalty = self.block_page_extra_ns()
-            self.tracer.channel(self.nand.channel_of(ppn), "block_penalty", penalty)
-            pages.append(content)
-            nand_ns_each.append(nand_ns + penalty)
-        return NvmeCompletion(cid=command.cid, result=(pages, nand_ns_each))
-
-    def _execute_block_write(self, command: NvmeCommand) -> NvmeCompletion:
-        # The command carries no payload: SSDDevice.block_write calls
-        # program_page directly, so a WRITE here is only exercised by
-        # protocol-level tests.
-        nand_ns_total = 0.0
-        for lba in range(command.lba, command.lba + command.nlb):
-            page = self.nand.read_page(self.ftl.translate(lba))
-            assert page is not None
-            nand_ns_total += self.program_page(lba, page)
-        return NvmeCompletion(cid=command.cid, result=nand_ns_total)
 
 
 class ByteRead:
@@ -253,4 +215,4 @@ class ByteRead:
         self.controller.record_array_phase(self._nand_ns)
 
 
-__all__ = ["ByteRead", "FirmwareExtension", "ReadBufferSlot", "SSDController"]
+__all__ = ["ByteRead", "ReadBufferSlot", "SSDController"]

@@ -1,16 +1,17 @@
 """The assembled SSD device: one object the host systems talk to.
 
 ``SSDDevice`` wires the NAND array, FTL, controller, PCIe link, DMA and
-MMIO models, CMB and HMB regions, and an NVMe queue pair together, and
-offers the two kinds of read the paper compares:
+MMIO models, and the CMB and HMB regions together, and offers the two
+kinds of read the paper compares:
 
 - :meth:`block_read` -- the conventional page-granular path (used by
-  Block I/O and by Pipette's coarse-grained dispatch); it merges the
-  pages into contiguous runs and submits one NVMe READ per run;
+  Block I/O and by Pipette's coarse-grained dispatch); it senses each
+  distinct page once, in ascending LBA order, and moves them to the
+  host in one transfer;
 - byte-granular reads through :class:`repro.ssd.controller.ByteRead`:
-  ``FINE_GRAINED_READ`` NVMe commands handled by the installed Read
-  Engine (see :mod:`repro.core.engine`) for Pipette's HMB path, and
-  CMB staging for 2B-SSD MMIO/DMA and the ``pipette-cmb`` variant.
+  Pipette's Read Engine (see :mod:`repro.core.engine`) for the HMB
+  path, and CMB staging for 2B-SSD MMIO/DMA and the ``pipette-cmb``
+  variant.
 
 Timing contract: device methods record :class:`repro.sim.trace.Stage`
 entries into the active request's :class:`~repro.sim.trace.StageTrace`,
@@ -35,26 +36,7 @@ from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.hmb import HostMemoryBuffer
 from repro.ssd.mmio import MmioWindow
 from repro.ssd.nand import FlashArray
-from repro.ssd.nvme import NvmeCommand, NvmeOpcode, NvmeQueuePair
 from repro.ssd.pcie import PcieLink
-
-
-def _contiguous_runs(lbas: list[int]) -> list[tuple[int, int]]:
-    """Split page LBAs into sorted contiguous (start, count) runs."""
-    if not lbas:
-        return []
-    ordered = sorted(set(lbas))
-    runs: list[tuple[int, int]] = []
-    start = ordered[0]
-    count = 1
-    for lba in ordered[1:]:
-        if lba == start + count:
-            count += 1
-        else:
-            runs.append((start, count))
-            start, count = lba, 1
-    runs.append((start, count))
-    return runs
 
 
 class SSDDevice:
@@ -93,7 +75,6 @@ class SSDDevice:
             tracer=self.tracer,
             placement=self.placement,
         )
-        self.queue = NvmeQueuePair(executor=self.controller.execute)
         self.admin = AdminState(spec=config.ssd)
 
     # --- initialization features ------------------------------------------
@@ -136,31 +117,19 @@ class SSDDevice:
         page_size = self.config.ssd.page_size
         timing = self.config.timing
         pages: dict[int, bytes | None] = {}
-        per_page_ns: list[float] = []
-        for start, count in _contiguous_runs(lbas):
-            completion = self.queue.submit(
-                NvmeCommand(opcode=NvmeOpcode.READ, lba=start, nlb=count)
-            )
-            if not completion.success:
-                raise RuntimeError(f"READ of [{start}, {start + count}) failed")
-            run_pages, nand_ns_each = completion.result
-            for index, lba in enumerate(range(start, start + count)):
-                pages[lba] = run_pages[index]
-                per_page_ns.append(nand_ns_each[index])
-
-        if per_page_ns:
-            self.controller.record_array_phase(per_page_ns)
-            self.link.dma_to_host(self.tracer, page_size * len(per_page_ns))
+        if lbas:
+            ordered = sorted(set(lbas))
+            contents, nand_ns_each = self.controller.block_sense(ordered)
+            pages = dict(zip(ordered, contents))
+            self.controller.record_array_phase(nand_ns_each)
+            self.link.dma_to_host(self.tracer, page_size * len(ordered))
             # Interrupt/completion handling extends QD-1 latency but
             # overlaps other requests' work under pipelining.
             self.tracer.host("completion", timing.completion_ns, charged=False)
 
         for lba in background_lbas or []:
-            ppn = self.ftl.translate(lba)
-            content, _ = self.controller.sense_ppn(lba, ppn)
-            penalty = self.controller.block_page_extra_ns()
-            self.tracer.channel(self.nand.channel_of(ppn), "block_penalty", penalty)
-            pages[lba] = content
+            contents, _ = self.controller.block_sense((lba,))
+            pages[lba] = contents[0]
             self.link.dma_to_host(
                 self.tracer, page_size, name="readahead_xfer", latency=False
             )
@@ -185,15 +154,6 @@ class SSDDevice:
             self.tracer.host(
                 "completion", self.config.timing.completion_ns, charged=False
             )
-
-    # --- NVMe command submission ----------------------------------------------
-    def submit(self, command: NvmeCommand):
-        """Submit a raw NVMe command through the queue pair."""
-        return self.queue.submit(command)
-
-    def install_fine_read_engine(self, engine) -> None:
-        """Install Pipette's firmware Read Engine extension."""
-        self.controller.install_extension(NvmeOpcode.FINE_GRAINED_READ, engine)
 
 
 __all__ = ["SSDDevice"]

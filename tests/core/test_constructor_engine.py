@@ -1,15 +1,14 @@
-"""Tests for the constructor/requester and device-side Read Engine."""
+"""Tests for the constructor and the device-side Read Engine."""
 
 import pytest
 
 from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
-from repro.core.constructor import FineGrainedConstructor, Requester
+from repro.core.constructor import FineGrainedConstructor, FineReadRange
 from repro.core.engine import FineGrainedReadEngine
-from repro.core.read_cache.info_area import InfoArea
+from repro.core.read_cache.info_area import InfoArea, InfoRecord
 from repro.kernel.fs.ext4 import ExtentFileSystem
 from repro.ssd.device import SSDDevice
 from repro.ssd.nand import page_pattern
-from repro.ssd.nvme import NvmeOpcode
 
 
 @pytest.fixture
@@ -29,25 +28,28 @@ def rig():
         hmb=device.hmb,
         info_area=info,
     )
-    device.install_fine_read_engine(engine)
-    requester = Requester(device=device)
     inode = fs.create("/f", MIB)
-    return config, device, fs, info, constructor, requester, engine, inode
+    return config, device, fs, info, constructor, engine, inode
+
+
+def test_fine_read_range_fields():
+    fine = FineReadRange(lba=3, offset_in_page=100, length=28, dest_addr=777)
+    assert (fine.lba, fine.offset_in_page, fine.length, fine.dest_addr) == (3, 100, 28, 777)
 
 
 def test_construct_produces_info_records(rig):
-    _, _, _, info, constructor, _, _, inode = rig
-    command = constructor.construct_multi(inode, [(100, 28, 500)])
-    assert command.opcode == NvmeOpcode.FINE_GRAINED_READ
-    assert len(command.ranges) == 1
+    _, _, fs, info, constructor, _, inode = rig
+    ranges = constructor.construct_multi(inode, [(100, 28, 500)])
+    assert len(ranges) == 1
     assert info.produced == 1
-    assert command.ranges[0].dest_addr == 500
+    fine = ranges[0]
+    lba = fs.page_lba(inode, 0)
+    assert (fine.lba, fine.offset_in_page, fine.length, fine.dest_addr) == (lba, 100, 28, 500)
 
 
 def test_engine_transfers_demanded_bytes_to_hmb(rig):
-    _, device, fs, info, constructor, requester, engine, inode = rig
-    completion = requester.submit(constructor.construct_multi(inode, [(100, 28, 500)]))
-    assert completion.success
+    _, device, fs, info, constructor, engine, inode = rig
+    engine.read(constructor.construct_multi(inode, [(100, 28, 500)]))
     assert device.traffic.device_to_host_bytes == 28
     lba = fs.page_lba(inode, 0)
     expected = page_pattern(lba)[100:128]
@@ -57,8 +59,8 @@ def test_engine_transfers_demanded_bytes_to_hmb(rig):
 
 
 def test_engine_handles_page_crossing_range(rig):
-    _, device, fs, _, constructor, requester, _, inode = rig
-    requester.submit(constructor.construct_multi(inode, [(4090, 16, 100)]))
+    _, device, fs, _, constructor, engine, inode = rig
+    engine.read(constructor.construct_multi(inode, [(4090, 16, 100)]))
     assert device.traffic.device_to_host_bytes == 16
     lba0 = fs.page_lba(inode, 0)
     lba1 = fs.page_lba(inode, 1)
@@ -67,22 +69,21 @@ def test_engine_handles_page_crossing_range(rig):
 
 
 def test_engine_traffic_is_demanded_bytes_only(rig):
-    _, device, _, _, constructor, requester, _, inode = rig
-    requester.submit(constructor.construct_multi(inode, [(0, 64, 0)]))
+    _, device, _, _, constructor, engine, inode = rig
+    engine.read(constructor.construct_multi(inode, [(0, 64, 0)]))
     assert device.traffic.device_to_host_bytes == 64
 
 
 def test_engine_rejects_mismatched_info_record(rig):
-    _, device, _, info, constructor, requester, _, inode = rig
-    command = constructor.construct_multi(inode, [(0, 64, 0)])
+    _, _, _, info, constructor, engine, inode = rig
+    ranges = constructor.construct_multi(inode, [(0, 64, 0)])
     # Corrupt the ring: consume the record the host staged and replace
     # it with one pointing elsewhere.
     record = info.consume()
-    from repro.core.read_cache.info_area import InfoRecord
-
     info.push(InfoRecord(dest_addr=record.dest_addr + 8, byte_offset=0, byte_length=64))
-    completion = device.submit(command)
-    assert not completion.success
+    with pytest.raises(RuntimeError):
+        engine.read(ranges)
+    assert engine.commands_handled == 0
 
 
 def test_engine_qd1_nand_overlap(rig):
@@ -95,10 +96,3 @@ def test_engine_qd1_nand_overlap(rig):
     phases = [stage for stage in device.tracer.ambient.stages if stage.name == "nand_array"]
     assert [stage.ns for stage in phases] == [60.0, 120.0]
     assert not any(stage.charged for stage in phases)
-
-
-def test_requester_counts_submissions(rig):
-    _, _, _, _, constructor, requester, _, inode = rig
-    requester.submit(constructor.construct_multi(inode, [(0, 8, 0)]))
-    requester.submit(constructor.construct_multi(inode, [(64, 8, 8)]))
-    assert requester.submitted == 2

@@ -1,61 +1,60 @@
-"""Tests for the access detector and read dispatcher."""
+"""Tests for the Detector and Dispatcher steps of Pipette's read path.
 
-from repro.config import SimConfig
-from repro.core.detector import FineGrainedAccessDetector
-from repro.core.dispatcher import DispatchDecision, ReadDispatcher
-from repro.kernel.fs.ext4 import ExtentFileSystem
-from repro.kernel.vfs import O_FINE_GRAINED, O_RDONLY, FileTable
+Both steps are one predicate in ``PipetteSystem._read``: a read takes
+the fine-grained path iff its file was opened with ``O_FINE_GRAINED``
+(the Detector's permission check) and ``0 < size < threshold`` (the
+Dispatcher's size rule).  Only fine-path reads probe the FGRC, so
+``cache.counter.accesses`` counts the reads routed there.
+"""
+
+from repro.kernel.vfs import O_FINE_GRAINED, O_RDONLY
+from repro.system import build_system
+
+from tests.conftest import make_open_file, small_sim_config
 
 
-def make_entry(flags):
-    fs = ExtentFileSystem(total_pages=1024, page_size=4096)
-    inode = fs.create("/f", 65536)
-    return FileTable(SimConfig()).install(inode, flags)
+def make_system():
+    return build_system("pipette", small_sim_config())
 
 
 def test_detector_permits_flagged_files():
-    detector = FineGrainedAccessDetector()
-    assert detector.permitted(make_entry(O_FINE_GRAINED))
-    assert detector.denied == 0
+    system = make_system()
+    fd = make_open_file(system, flags=O_FINE_GRAINED)
+    system.read(fd, 100, 64)
+    assert system.cache.counter.accesses == 1
 
 
 def test_detector_denies_unflagged_files():
-    detector = FineGrainedAccessDetector()
-    assert not detector.permitted(make_entry(O_RDONLY))
-    assert detector.denied == 1
-
-
-def test_detector_profiles_access_ranges():
-    detector = FineGrainedAccessDetector(page_size=4096)
-    detector.record(ino=5, offset=100, size=28)
-    detector.record(ino=5, offset=4090, size=20)  # crosses a page boundary
-    profile = detector.profiles[5]
-    assert profile.accesses == 2
-    assert profile.bytes_demanded == 48
-    assert profile.min_size == 20
-    assert profile.max_size == 28
-    assert profile.pages_touched == {0, 1}
-    assert profile.mean_size == 24.0
+    system = make_system()
+    fd = make_open_file(system, flags=O_RDONLY)
+    system.read(fd, 100, 64)
+    assert system.cache.counter.accesses == 0
+    assert system.cache.info_area.produced == 0
 
 
 def test_dispatcher_routes_by_size():
-    dispatcher = ReadDispatcher(threshold_bytes=4096)
-    fine_entry = make_entry(O_FINE_GRAINED)
-    assert dispatcher.decide(fine_entry, 128) is DispatchDecision.FINE
-    assert dispatcher.decide(fine_entry, 4095) is DispatchDecision.FINE
-    assert dispatcher.decide(fine_entry, 4096) is DispatchDecision.BLOCK
-    assert dispatcher.decide(fine_entry, 65536) is DispatchDecision.BLOCK
+    system = make_system()
+    assert system.config.pipette.dispatch_threshold_bytes == 4096
+    fd = make_open_file(system, flags=O_FINE_GRAINED)
+    routed = []
+    for offset, size in [(0, 128), (8192, 4095), (16384, 4096), (65536, 65536)]:
+        before = system.cache.counter.accesses
+        system.read(fd, offset, size)
+        routed.append(system.cache.counter.accesses - before)
+    assert routed == [1, 1, 0, 0]
 
 
 def test_dispatcher_requires_flag():
-    dispatcher = ReadDispatcher(threshold_bytes=4096)
-    assert dispatcher.decide(make_entry(O_RDONLY), 128) is DispatchDecision.BLOCK
+    system = make_system()
+    fd = make_open_file(system, flags=O_RDONLY)
+    system.read(fd, 0, 128)
+    assert system.cache.counter.accesses == 0
 
 
 def test_dispatcher_counts_decisions():
-    dispatcher = ReadDispatcher(threshold_bytes=4096)
-    entry = make_entry(O_FINE_GRAINED)
-    dispatcher.decide(entry, 100)
-    dispatcher.decide(entry, 5000)
-    assert dispatcher.fine_dispatches == 1
-    assert dispatcher.block_dispatches == 1
+    system = make_system()
+    fd = make_open_file(system, flags=O_FINE_GRAINED)
+    system.read(fd, 0, 100)
+    system.read(fd, 8192, 5000)
+    assert system.cache.counter.accesses == 1
+    assert system.engine.commands_handled == 1

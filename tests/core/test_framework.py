@@ -43,15 +43,14 @@ def test_hit_returns_same_bytes_as_miss(system):
 def test_large_reads_take_block_path(system):
     fd = make_open_file(system)
     system.read(fd, 0, 4096)
-    assert system.dispatcher.block_dispatches == 1
-    assert system.dispatcher.fine_dispatches == 0
     assert system.cache.counter.accesses == 0
+    assert system.engine.commands_handled == 0
 
 
 def test_unflagged_file_never_uses_fine_path(system):
     fd = make_open_file(system, path="/plain.bin", flags=O_RDONLY)
     system.read(fd, 100, 64)
-    assert system.dispatcher.fine_dispatches == 0
+    assert system.cache.counter.accesses == 0
 
 
 def test_traffic_counts_demanded_bytes_on_fine_path(system):

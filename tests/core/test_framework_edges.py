@@ -25,10 +25,10 @@ def test_info_ring_refills_after_wraparound():
 def test_fine_read_spanning_pages_uses_single_command():
     system = build_system("pipette", small_sim_config())
     fd = make_open_file(system)
-    before = system.device.queue.submitted
+    before = system.engine.commands_handled
     data = system.read(fd, 4096 - 10, 20)  # crosses a page boundary
     assert data is not None and len(data) == 20
-    assert system.device.queue.submitted == before + 1
+    assert system.engine.commands_handled == before + 1
     # Two pages sensed, one command, 20 bytes of traffic.
     assert system.device.traffic.device_to_host_bytes == 20
 
@@ -88,8 +88,7 @@ def test_dispatch_threshold_override():
     fd = make_open_file(system)
     system.read(fd, 0, 255)  # below threshold: fine path
     system.read(fd, 8192, 256)  # at threshold: block path
-    assert system.dispatcher.fine_dispatches == 1
-    assert system.dispatcher.block_dispatches == 1
+    assert system.cache.counter.accesses == 1
 
 
 def test_info_record_mismatch_station():
@@ -99,3 +98,24 @@ def test_info_record_mismatch_station():
         area.push(InfoRecord(dest_addr=index, byte_offset=0, byte_length=8))
     with pytest.raises(BufferError):
         area.push(InfoRecord(dest_addr=99, byte_offset=0, byte_length=8))
+
+
+def test_write_invalidates_item_longer_than_a_page():
+    """A write deletes a multi-page item even behind a shorter one."""
+    config = small_sim_config()
+    config = config.scaled(
+        cache=dataclasses.replace(config.cache, max_item_bytes=8192),
+        pipette=dataclasses.replace(config.pipette, dispatch_threshold_bytes=8192),
+    )
+    system = build_system("pipette", config)
+    fd = make_open_file(system)
+    before = system.read(fd, 0, 6000)
+    system.read(fd, 500, 100)
+    system.write(fd, 5000, b"!" * 10)
+    # Flush, so a read that misses the FGRC finds the new bytes on flash.
+    system.fsync(fd)
+    after = system.read(fd, 0, 6000)
+    assert system.cache.counter.hits == 0
+    assert after[5000:5010] == b"!" * 10
+    assert after[:5000] == before[:5000]
+    assert after[5010:] == before[5010:]

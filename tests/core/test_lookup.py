@@ -1,7 +1,7 @@
 """Tests for per-file hash lookup tables (resident + ghost entries)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.read_cache.lookup import FileLookupTable
@@ -83,13 +83,16 @@ def test_insert_clears_ghost():
 
 @given(
     st.lists(
-        st.tuples(st.integers(0, 400), st.integers(1, 64)),
+        st.tuples(st.integers(0, 20_000), st.integers(1, 8192)),
         min_size=1,
         max_size=30,
         unique_by=lambda pair: pair,
     ),
-    st.tuples(st.integers(0, 500), st.integers(1, 100)),
+    st.tuples(st.integers(0, 20_000), st.integers(1, 8192)),
 )
+# An item longer than a page, hidden behind a short one that ends
+# before the query (items may be as long as the dispatch threshold).
+@example(ranges=[(0, 6000), (500, 100)], query=(5000, 10))
 def test_property_overlap_matches_bruteforce(ranges, query):
     """overlapping() agrees with a brute-force interval check."""
     table = FileLookupTable(ino=1)

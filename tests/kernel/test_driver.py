@@ -1,7 +1,7 @@
 """Tests for the kernel's block submissions to the device.
 
 The block read path calls ``SSDDevice.block_read``/``block_write``
-directly; the device issues one NVMe command per contiguous run.
+directly.
 """
 
 import pytest
@@ -29,11 +29,6 @@ def test_read_pages_returns_contents(device):
     assert trace.latency_ns() > 0
 
 
-def test_commands_counted_via_queue(device):
-    device.block_read([3, 4, 10])  # two runs
-    assert device.queue.submitted == 2
-
-
 def test_background_lbas_passed_through(device):
     pages = device.block_read([0], background_lbas=[1, 2])
     assert set(pages) == {0, 1, 2}
@@ -54,4 +49,4 @@ def test_empty_request_list(device):
         pages = device.block_read([])
     assert pages == {}
     assert trace.latency_ns() == 0.0
-    assert device.queue.submitted == 0
+    assert device.controller.pages_sensed == 0

@@ -35,6 +35,39 @@ def test_tenant_queue_is_a_real_ring():
     assert queue.fetched == 1
 
 
+def test_tenant_queue_full_rejected():
+    queue = TenantQueue("t", depth=4)
+    for index in range(3):  # depth-1 usable slots
+        queue.push(index)
+    assert queue.full
+    with pytest.raises(QueueFull):
+        queue.push("overflow")
+
+
+def test_tenant_queue_pops_in_fifo_order():
+    queue = TenantQueue("t", depth=4)
+    queue.push("a")
+    queue.push("b")
+    assert queue.pop() == "a"
+    assert queue.pop() == "b"
+
+
+def test_tenant_queue_wraps_past_its_depth():
+    queue = TenantQueue("t", depth=4)
+    for value in range(10):
+        queue.push(value)
+        assert queue.pop() == value
+    assert len(queue) == 0
+    for value in range(3):  # still holds depth-1 after wrapping
+        queue.push(value)
+    assert queue.full
+
+
+def test_tenant_queue_empty_pop_rejected():
+    with pytest.raises(IndexError):
+        TenantQueue("t", depth=4).pop()
+
+
 def test_tenant_queue_rejects_bad_weight():
     with pytest.raises(ValueError):
         TenantQueue("t", weight=0)

@@ -30,6 +30,14 @@ def test_qos_rejects_bad_parameters(kwargs):
         TenantQoS(**kwargs)
 
 
+def test_ring_depth_must_be_power_of_two():
+    with pytest.raises(ValueError):
+        TenantQoS(queue_depth=3)
+    with pytest.raises(ValueError):
+        TenantQoS(queue_depth=1)
+    assert TenantQoS(queue_depth=2).queue_depth == 2
+
+
 def test_admission_rejected_carries_tenant_and_reason():
     error = AdmissionRejected("acme", "submission queue full")
     assert error.tenant == "acme"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import MIB, CacheConfig, SimConfig, SSDSpec
 from repro.ssd.controller import ByteRead
-from repro.ssd.device import SSDDevice, _contiguous_runs
+from repro.ssd.device import SSDDevice
 from repro.ssd.nand import page_pattern
 from tests.conftest import root_trace
 
@@ -20,10 +20,27 @@ def make_device(**overrides) -> SSDDevice:
     return SSDDevice(config)
 
 
-def test_contiguous_runs_merging():
-    assert _contiguous_runs([5, 3, 4, 9]) == [(3, 3), (9, 1)]
-    assert _contiguous_runs([]) == []
-    assert _contiguous_runs([1, 1, 1]) == [(1, 1)]
+def _sensed_lbas(monkeypatch, device) -> list[int]:
+    sensed: list[int] = []
+    sense_ppn = device.controller.sense_ppn
+
+    def recording(lba, ppn):
+        sensed.append(lba)
+        return sense_ppn(lba, ppn)
+
+    monkeypatch.setattr(device.controller, "sense_ppn", recording)
+    return sensed
+
+
+def test_contiguous_runs_merging(monkeypatch):
+    device = make_device()
+    sensed = _sensed_lbas(monkeypatch, device)
+    assert set(device.block_read([5, 3, 4, 9])) == {3, 4, 5, 9}
+    assert sensed == [3, 4, 5, 9]
+    assert device.block_read([]) == {}
+    assert sensed == [3, 4, 5, 9]
+    assert set(device.block_read([1, 1, 1])) == {1}
+    assert sensed == [3, 4, 5, 9, 1]
 
 
 def test_block_read_returns_pattern_pages():
@@ -153,11 +170,30 @@ def test_read_buffer_bounded():
     assert len(device.controller.read_buffer) <= device.config.ssd.read_buffer_pages
 
 
-def test_nvme_queue_sees_block_reads():
+def test_block_sense_returns_pages_and_costs():
     device = make_device()
-    device.block_read([0, 1, 4])
-    # Two contiguous runs -> two READ commands.
-    assert device.queue.submitted == 2
+    timing = device.config.timing
+    pages, nand_ns_each = device.controller.block_sense([6, 5])
+    assert pages == [page_pattern(6), page_pattern(5)]
+    expected = (
+        timing.nand_read(device.config.ssd.nand_type)
+        + timing.channel_xfer_page_ns
+        + timing.block_page_penalty_ns
+    )
+    assert nand_ns_each == [pytest.approx(expected)] * 2
+    penalties = [s for s in device.tracer.ambient.stages if s.name == "block_penalty"]
+    assert len(penalties) == 2
+
+
+def test_gapped_block_read_is_one_command():
+    device = make_device()
+    with root_trace(device.tracer) as trace:
+        device.block_read([0, 1, 4])
+    # Two contiguous runs, one device command: one array phase, one completion.
+    names = [stage.name for stage in trace.stages]
+    assert names.count("nand_array") == 1
+    assert names.count("completion") == 1
+    assert device.controller.pages_sensed == 3
 
 
 def _count_translates(monkeypatch, ftl) -> list[int]:
