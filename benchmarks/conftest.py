@@ -46,12 +46,11 @@ def save_report(results_dir: pathlib.Path, name: str, report: str) -> None:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
-    """Report the flow-aware simlint engine's cost on the full tree.
+    """Report the simlint engine's cost on the full tree.
 
-    Per-rule walk time over ``src/repro`` (parse + flow analysis are
-    measured separately) so a regression in the symbol-table or
-    call-graph machinery shows up in bench output, not just as a slower
-    CI lint job.
+    Per-rule walk time over ``src/repro`` (parsing is measured
+    separately) so a slower rule shows up in bench output, not just as
+    a slower CI lint job.
     """
     import time
 
@@ -84,7 +83,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         terminalreporter.write_line("  -> results/BENCH_cluster.json")
 
     from repro.lint.context import ModuleContext
-    from repro.lint.engine import iter_python_files, link_contexts
+    from repro.lint.engine import iter_python_files
     from repro.lint.rules.base import RULES
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -100,8 +99,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
             contexts.append(ModuleContext.parse(str(path), path.read_text()))
         except SyntaxError:
             continue
-    link_contexts(contexts)
-    flow_s = time.perf_counter() - started  # simlint: allow[virtual-time-purity]
+    parse_s = time.perf_counter() - started  # simlint: allow[virtual-time-purity]
 
     rule_times: list[tuple[str, float]] = []
     for rule_id, rule in sorted(RULES.items()):
@@ -113,12 +111,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
     writer = terminalreporter
     writer.section("simlint rule-walk time (src/repro)")
     writer.write_line(
-        f"parse + flow/unit analyses + indexes: {flow_s * 1000:.1f} ms "
+        f"parse: {parse_s * 1000:.1f} ms "
         f"({len(contexts)} modules)"
     )
     for rule_id, elapsed in sorted(rule_times, key=lambda item: -item[1]):
         writer.write_line(f"  {rule_id:<28} {elapsed * 1000:7.1f} ms")
-    total = flow_s + sum(elapsed for _, elapsed in rule_times)
+    total = parse_s + sum(elapsed for _, elapsed in rule_times)
     writer.write_line(f"  {'total':<28} {total * 1000:7.1f} ms")
 
     # The lint datapoint of the perf trajectory (EXPERIMENTS.md):
@@ -127,7 +125,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
     payload = {
         "modules": len(contexts),
         "rules_walked": len(rule_times),
-        "parse_and_analysis_ms": round(flow_s * 1000, 3),
+        "parse_ms": round(parse_s * 1000, 3),
         "total_ms": round(total * 1000, 3),
         "files_per_sec": round(len(contexts) / total, 1) if total else None,
         "rule_ms": {

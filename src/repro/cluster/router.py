@@ -282,7 +282,7 @@ class Router:
         # A loser replica answered after (or tied with) the winner.
         winner = request.winner
         if (
-            end_ns == request.satisfied_ns  # simlint: allow[float-time-equality]
+            end_ns == request.satisfied_ns
             and winner is not None
             and attempt.index < winner.index
         ):
@@ -313,7 +313,7 @@ class Router:
         """
         if (
             request.hedge_event is not None
-            and request.hedge_deadline_ns != self.loop.now_ns  # simlint: allow[float-time-equality]
+            and request.hedge_deadline_ns != self.loop.now_ns
         ):
             request.hedge_event.cancel()
             request.hedge_event = None

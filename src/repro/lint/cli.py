@@ -10,7 +10,6 @@ catalogue and the suppression syntax.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.lint.engine import run
@@ -18,23 +17,7 @@ from repro.lint.findings import Finding
 from repro.lint.rules.base import RULES
 
 #: CLI output modes.
-FORMATS = ("text", "json", "github")
-
-
-def _emit_text(findings: list[Finding], quiet: bool) -> None:
-    if quiet:
-        return
-    for finding in findings:
-        print(finding.render())
-
-
-def _emit_json(findings: list[Finding]) -> None:
-    payload = {
-        "version": 1,
-        "count": len(findings),
-        "findings": [finding.to_dict() for finding in findings],
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+FORMATS = ("text", "github")
 
 
 def _escape_data(value: str) -> str:
@@ -84,13 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=FORMATS,
         default="text",
-        help="output mode: text (default), json, or github (inline "
-        "::error annotations for CI)",
+        help="output mode: text (default) or github (inline ::error "
+        "annotations for CI)",
     )
     parser.add_argument("--list-rules", action="store_true", help="list rule ids and exit")
-    parser.add_argument(
-        "-q", "--quiet", action="store_true", help="suppress the per-finding lines"
-    )
     return parser
 
 
@@ -117,15 +97,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.format == "json":
-        _emit_json(findings)
-    elif args.format == "github":
+    if args.format == "github":
         _emit_github(findings)
     else:
-        _emit_text(findings, args.quiet)
+        for finding in findings:
+            print(finding.render())
     checked = ", ".join(str(p) for p in args.paths)
-    # Keep machine-readable stdout clean: the summary goes to stderr
-    # for the json/github formats.
+    # Keep the annotation stream clean: the summary goes to stderr
+    # for the github format.
     summary_stream = sys.stdout if args.format == "text" else sys.stderr
     print(f"simlint: {len(findings)} finding(s) in {checked}", file=summary_stream)
     return 1 if findings else 0

@@ -3,13 +3,7 @@
 The engine is import-light and purely syntactic: it parses each file
 once, hands the shared :class:`ModuleContext` to every applicable rule,
 and drops findings the source explicitly allows (``# simlint:
-allow[rule]``).
-
-Directory runs are two-phase: every file is parsed first and the
-per-module flow analyses (:mod:`repro.lint.flow`) share one package
-index, so the alias-aware rules resolve ``from pkg.helpers import f``
-call sites across files.  Single-source entry points (``lint_source``)
-stay intra-module.
+allow[rule]``).  Every rule sees one module at a time.
 
 When the full rule set runs, allow comments that excused nothing are
 reported as ``unused-suppression`` findings; under ``--rule`` filters
@@ -105,20 +99,6 @@ def lint_file(path: str | Path, *, rules: Iterable[Rule] | None = None) -> list[
     return lint_source(path.read_text(), _report_path(path), rules=rules)
 
 
-def link_contexts(contexts: list[ModuleContext]) -> None:
-    """Install the shared cross-module indexes on every context.
-
-    One flow package index and one unit-summary index are shared by
-    every module of a directory run, so call sites and dimensions
-    resolve across files.
-    """
-    index = {ctx.module_name: ctx.flow.summaries for ctx in contexts}
-    unit_index = {ctx.module_name: ctx.units.summaries for ctx in contexts}
-    for ctx in contexts:
-        ctx.flow.package_index = index
-        ctx.units.module_index = unit_index
-
-
 def run(
     paths: Iterable[str | Path], *, rule_ids: Iterable[str] | None = None
 ) -> list[Finding]:
@@ -130,21 +110,8 @@ def run(
             raise KeyError(f"unknown rule id(s): {', '.join(unknown)}")
         selected = [RULES[rule_id] for rule_id in rule_ids]
     findings: list[Finding] = []
-    contexts: list[ModuleContext] = []
     for file in iter_python_files(paths):
-        report_path = _report_path(file)
-        try:
-            contexts.append(ModuleContext.parse(report_path, file.read_text()))
-        except SyntaxError as exc:
-            findings.append(
-                Finding(path=report_path, line=exc.lineno or 1, rule=SYNTAX_ERROR, message=str(exc))
-            )
-    # Phase 2: share one package index so cross-module call sites
-    # resolve against every sibling's function summaries.
-    link_contexts(contexts)
-    rules = selected if selected is not None else list(RULES.values())
-    for ctx in contexts:
-        findings.extend(_lint_context(ctx, rules, report_unused=selected is None))
+        findings.extend(lint_file(file, rules=selected))
     return sort_findings(findings)
 
 
@@ -152,7 +119,6 @@ __all__ = [
     "SYNTAX_ERROR",
     "UNUSED_SUPPRESSION",
     "iter_python_files",
-    "link_contexts",
     "lint_file",
     "lint_source",
     "run",

@@ -4,8 +4,8 @@ A finding pins one invariant violation to a file and line.  Paths are
 reported the way the engine received them (normally relative to the
 invocation directory) so output lines are clickable.  ``end_line`` carries the flagged
 statement's extent so suppressions on any physical line of a
-multi-line statement apply, and machine formats (``--format json`` /
-``github``) can annotate the full span.
+multi-line statement apply, and ``--format github`` can annotate the
+full span.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "end_line": self.span_end,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
 
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:

@@ -6,11 +6,9 @@ the same ``@register`` decorator before invoking the engine.
 """
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
-    concurrency,
-    determinism,
-    dimension,
+    cost_literal,
     rng,
-    units,
+    shared_state,
     virtual_time,
 )
 from repro.lint.rules.base import RULES, Rule, SIM_PACKAGES, register

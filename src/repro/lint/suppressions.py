@@ -6,8 +6,8 @@ the rule::
 
     started = time.time()  # simlint: allow[virtual-time-purity]
 
-    # simlint: allow[seeded-rng-only,unit-suffix-consistency]
-    jitter = random.random() * budget_ns
+    # simlint: allow[seeded-rng-only,virtual-time-purity]
+    jitter = random.random() * time.time()
 
 ``allow[*]`` suppresses every rule on the target line.  Suppressions
 are deliberately line-scoped: there is no file- or block-level escape

@@ -239,7 +239,7 @@ class EventLoop:
                         # simultaneity: the (time, tie, seq) heap order uses
                         # the same comparison, so the wave groups exactly
                         # the events the tie-break could permute.
-                        if head_ns != now_ns:  # simlint: allow[float-time-equality]
+                        if head_ns != now_ns:
                             break
                         pop(heap)
                         if event.cancelled:
@@ -266,7 +266,7 @@ class EventLoop:
                         pop(heap)
                     head_ns = heap[0][0] if heap else math.inf
                     # Same bit-exact simultaneity check as the wave above.
-                    if head_ns != now_ns:  # simlint: allow[float-time-equality]
+                    if head_ns != now_ns:
                         if check_wakeups:
                             self._check_lost_wakeups()
                         break

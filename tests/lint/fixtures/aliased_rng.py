@@ -17,3 +17,11 @@ def run(seed):
     nr = np.random
     legacy = nr.rand(3)  # expect: seeded-rng-only
     return hidden, routed, ok, legacy
+
+
+def trace(seed, count):
+    # Seeding the global stream reproduces one generator run alone;
+    # any other draw in between reshuffles it.
+    random.seed(seed)  # expect: seeded-rng-only
+    rng = random
+    return [rng.random() for _ in range(count)]  # expect: seeded-rng-only

@@ -13,3 +13,9 @@ def draw():
     e = np.random.default_rng()  # expect: seeded-rng-only
     f = np.random.default_rng(7)  # ok: explicitly seeded generator
     return a, b, c, d, e, f
+
+
+def migration_donor(candidates):
+    # The global stream picks the donor: no tested config has two
+    # candidates, so no golden result moves.
+    return random.choice(candidates)  # expect: seeded-rng-only

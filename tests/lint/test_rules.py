@@ -22,22 +22,17 @@ FIXTURE_RULES = {
     "wallclock.py": "virtual-time-purity",
     "unseeded_rng.py": "seeded-rng-only",
     "aliased_rng.py": "seeded-rng-only",
-    "mixed_units.py": "unit-suffix-consistency",
-    "dimension_mismatch.py": "dimension-mismatch",
-    "rate_derivation.py": "rate-derivation",
     "cost_literal.py": "suffixless-cost-literal",
-    "set_iteration.py": "deterministic-iteration",
     "shared_mutation.py": "shared-state-mutation",
-    "float_time_eq.py": "float-time-equality",
     "clean.py": None,
 }
 
 
-#: fixture *package* -> rules whose cross-module counterexamples it
-#: marks (call sites that resolve only through the package index).
+#: fixture *package* -> rules whose counterexamples span its modules
+#: (a helper in one module, the call that hands it the global RNG in
+#: another).
 PACKAGE_FIXTURE_RULES = {
     "flowpkg": {"seeded-rng-only"},
-    "unitspkg": {"dimension-mismatch", "rate-derivation", "suffixless-cost-literal"},
 }
 
 
@@ -92,10 +87,10 @@ def test_rule_catches_its_counterexample(name: str, rule: str) -> None:
 
 
 def test_package_scoping_exempts_non_sim_packages() -> None:
-    source = "def f(items):\n    for item in set(items):\n        pass\n"
+    source = "def f(bucket):\n    bucket.tokens -= 1.0\n"
     # Inside an enforced simulator package: flagged.
     assert lint_source(source, "src/repro/ssd/thing.py")
-    # Analysis/reporting code is outside the deterministic-iteration scope.
+    # Analysis/reporting code is outside the shared-state-mutation scope.
     assert not lint_source(source, "src/repro/analysis/thing.py")
     # Files outside the repro tree get the full rule set.
     assert lint_source(source, "scripts/thing.py")
@@ -103,14 +98,14 @@ def test_package_scoping_exempts_non_sim_packages() -> None:
 
 def test_serve_package_is_in_simulator_scope() -> None:
     # The serving layer runs on the virtual timeline: the scoped
-    # discipline rules (ledger mutation, deterministic iteration) apply
-    # to it exactly as to the simulator core.
-    mutation = "def f(resources, ns):\n    resources.host_busy_ns += ns\n"
+    # discipline rules (engine-state mutation, cost literals) apply to
+    # it exactly as to the simulator core.
+    mutation = "def f(lane):\n    lane.bucket.tokens += 1.0\n"
     findings = lint_source(mutation, "src/repro/serve/thing.py")
     assert "shared-state-mutation" in {f.rule for f in findings}
-    iteration = "def f(tenants):\n    for t in set(tenants):\n        pass\n"
-    findings = lint_source(iteration, "src/repro/serve/thing.py")
-    assert "deterministic-iteration" in {f.rule for f in findings}
+    literal = "def f(tracer):\n    tracer.host(\"fgrc_hit\", 1_500)\n"
+    findings = lint_source(literal, "src/repro/serve/thing.py")
+    assert "suffixless-cost-literal" in {f.rule for f in findings}
 
 
 def test_serve_package_globals_still_enforced() -> None:
@@ -125,10 +120,10 @@ def test_serve_package_globals_still_enforced() -> None:
 
 
 def test_choke_point_modules_are_exempt() -> None:
-    # The Tracer's fold is the ledger's one writer; everywhere else in
-    # the simulator a write to the ledger is flagged.
-    source = "def f(resources, ns):\n    resources.host_busy_ns += ns\n"
-    assert not lint_source(source, "src/repro/sim/trace.py")
+    # The token bucket's own module may write its state; everywhere
+    # else in the simulator a write to it is flagged.
+    source = "def f(bucket, now_ns):\n    bucket.updated_ns = now_ns\n"
+    assert not lint_source(source, "src/repro/serve/qos.py")
     for path in ("src/repro/sim/resources.py", "src/repro/ssd/device.py"):
         findings = lint_source(source, path)
         assert {f.rule for f in findings} == {"shared-state-mutation"}
@@ -149,27 +144,17 @@ def test_seeded_numpy_generator_is_clean() -> None:
     assert not lint_source(source, "src/repro/workloads/thing.py")
 
 
-def test_unit_mixing_across_dimensions_is_allowed() -> None:
-    # bytes / ns is a bandwidth: *dividing* across dimensions is
-    # meaningful and stays clean ...
-    source = "def f(n_bytes, window_ns):\n    return n_bytes / window_ns\n"
-    assert not lint_source(source, "src/repro/sim/thing.py")
-    # ... but *adding* them is exactly what the dimensional analysis
-    # (simlint v3) exists to catch; the suffix rule still stays quiet.
-    source = "def f(n_bytes, window_ns):\n    return n_bytes + window_ns\n"
-    findings = lint_source(source, "src/repro/sim/thing.py")
-    assert {f.rule for f in findings} == {"dimension-mismatch"}
-
-
 def test_syntax_error_becomes_finding() -> None:
     findings = lint_source("def broken(:\n", "bad.py")
     assert [f.rule for f in findings] == ["syntax-error"]
 
 
 def test_cross_module_sinks_resolve_through_the_package_index() -> None:
-    """``engine.run`` over a directory links helper summaries across
-    modules: sinks defined in ``helpers.py`` flag call sites in
-    ``user.py``."""
+    """A directory run flags the call in ``user.py`` that hands the
+    global ``random`` module to a helper defined in ``helpers.py``:
+    passing the module to any call is the violation, so no call graph
+    is needed.  The helper itself, which draws from its parameter, is
+    clean."""
     from repro.lint.engine import run as engine_run
 
     package = FIXTURES / "flowpkg"
@@ -178,7 +163,4 @@ def test_cross_module_sinks_resolve_through_the_package_index() -> None:
         (f.line, f.rule) for f in findings if f.path.endswith("user.py")
     )
     assert found == expected_findings(package / "user.py")
-    # The helpers themselves are clean: sinks flag the caller that owns
-    # the object, not the helper.
     assert not [f for f in findings if f.path.endswith("helpers.py")]
-
