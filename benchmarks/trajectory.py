@@ -7,9 +7,10 @@ entry per PR, so the perf trajectory (simlint walk cost, per-backend
 serving throughput, cluster events/s) is a first-class artifact the
 next session can diff against instead of re-deriving from git history.
 
-Labels default to ``pr<N>`` where ``N`` is the number of entries in
-``CHANGES.md`` (each PR appends exactly one line there), which keeps
-the series keyed to the stacked-PR sequence without consulting git.
+Labels default to ``pr<N>`` where ``N`` is the highest ``PR <N>`` that
+heads an entry of ``CHANGES.md``, which keeps the series keyed to the
+stacked-PR sequence without consulting git.  A PR may write several
+lines or none, so the label never counts lines.
 Re-folding under an existing label replaces that entry in place, so
 re-running benchmarks within one PR never duplicates a point.
 
@@ -22,23 +23,26 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
 TRAJECTORY = RESULTS_DIR / "TRAJECTORY.json"
 BENCH_PREFIX = "BENCH_"
+#: ``PR <N>`` at the head of a CHANGES.md entry (``- PR <N>: ...``,
+#: ``- **PR <N> (kind) ...``); a ``PR <N>`` later in a line is a reference.
+_ENTRY_HEAD = re.compile(r"^\s*(?:-\s*)?(?:\*\*)?\s*PR (\d+)\b")
 
 
 def default_label(changes_path: pathlib.Path | None = None) -> str:
-    """``pr<N>`` from the CHANGES.md line count (one line per PR)."""
+    """``pr<N>`` for the highest ``PR <N>`` heading a CHANGES.md entry."""
     path = changes_path or (REPO_ROOT / "CHANGES.md")
     try:
-        entries = [
-            line for line in path.read_text().splitlines() if line.strip().startswith("-")
-        ]
+        lines = path.read_text().splitlines()
     except OSError:
-        entries = []
-    return f"pr{len(entries)}"
+        lines = []
+    numbers = [int(match[1]) for line in lines if (match := _ENTRY_HEAD.match(line))]
+    return f"pr{max(numbers, default=0)}"
 
 
 def collect_benches(results_dir: pathlib.Path | None = None) -> dict[str, object]:

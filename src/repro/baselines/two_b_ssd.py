@@ -3,7 +3,8 @@
 The state-of-the-art fine-grained baseline the paper compares against.
 Reads are served through the byte-addressable CMB interface:
 
-1. the controller senses the NAND page(s) into the CMB;
+1. the controller senses the NAND page(s) into the CMB (the sense is
+   modelled; the staged bytes themselves are not kept);
 2. the host pulls the demanded bytes out, either
 
    - **MMIO mode**: after a page fault maps the BAR window, with
@@ -20,7 +21,6 @@ cross the link (I/O traffic = requested bytes exactly — Tables 2/3).
 from __future__ import annotations
 
 from repro.baselines._direct_write import direct_write
-from repro.config import SimConfig
 from repro.kernel.vfs import OpenFile
 from repro.ssd.controller import ByteRead
 from repro.system import StorageSystem, register_system
@@ -28,10 +28,6 @@ from repro.system import StorageSystem, register_system
 
 class _TwoBSSDBase(StorageSystem):
     """Shared CMB staging logic of both 2B-SSD modes."""
-
-    def __init__(self, config: SimConfig) -> None:
-        super().__init__(config)
-        self.pages_staged = 0
 
     def _read(self, entry: OpenFile, offset: int, size: int) -> bytes | None:
         timing = self.config.timing
@@ -43,11 +39,10 @@ class _TwoBSSDBase(StorageSystem):
 
         # Stage every needed page in the CMB (device-internal path);
         # each sense records its channel occupancy in the trace.
-        read = ByteRead(device.controller, cmb=device.cmb)
+        read = ByteRead(device.controller)
         chunks: list[bytes] = []
         for piece in self.fs.extract_ranges(inode, offset, size):
-            payload, ppns = read.extract(piece.lba, piece.offset_in_page, piece.length)
-            self.pages_staged += len(ppns)
+            payload, _ = read.extract(piece.lba, piece.offset_in_page, piece.length)
             if payload is not None:
                 chunks.append(payload)
         read.finish()
@@ -87,7 +82,7 @@ class TwoBSSDMmioSystem(_TwoBSSDBase):
         # trips (that is the latency cost); under pipelined load other
         # cores keep issuing, so the stall is host work, while the link
         # itself only carries the payload bytes (off the latency path).
-        self.device.mmio.pull(self.device.tracer, size)
+        self.device.link.mmio_pull(self.device.tracer, size)
 
 
 @register_system
@@ -98,7 +93,7 @@ class TwoBSSDDmaSystem(_TwoBSSDBase):
 
     def _host_pull(self, size: int) -> None:
         # Mapping setup on the critical path, then the payload transfer.
-        self.device.dma.pull_per_access(self.device.tracer, size)
+        self.device.link.pull_per_access(self.device.tracer, size)
 
 
 __all__ = ["TwoBSSDDmaSystem", "TwoBSSDMmioSystem"]

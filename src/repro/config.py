@@ -51,13 +51,6 @@ class SSDSpec:
     mapping_region_bytes: int = 64 * MIB
     max_ddr_bytes: int = 4 * GIB
     capacity_bytes: int = 477_000_000_000
-    read_buffer_pages: int = 64
-    #: Serve repeated page senses from the controller read buffer
-    #: without re-reading NAND.  Off by default: the paper's latency
-    #: model (Fig. 8) shows no device-side caching effect, so the
-    #: calibrated reproduction keeps the array on every read; enable to
-    #: study the interaction.
-    read_buffer_hits: bool = False
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.page_size % 512:

@@ -8,8 +8,10 @@ buffer** instead of triggering a page-granular read-modify-write.
 
 Consistency contract (extending the paper's 3.1.3 rule):
 
-- every read — fine or block path — overlays pending buffered writes,
-  so read-your-writes always holds;
+- every read — fine or block path — overlays pending buffered writes;
+  read-your-writes still does not hold once they are flushed, since a
+  fine read can then return stale FGRC or flash bytes (a strict xfail
+  in ``tests/integration/test_read_your_writes.py``);
 - buffered writes invalidate overlapping fine-grained *read* cache
   items (same rule as the base system);
 - the buffer flushes when it exceeds its budget or on ``fsync``, going

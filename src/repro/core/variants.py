@@ -39,7 +39,7 @@ class PipetteCmbSystem(PipetteSystem):
 
         # Device side: stage each needed page in the CMB once per
         # command (like the Read Engine's buffer).
-        read = ByteRead(device.controller, cmb=device.cmb)
+        read = ByteRead(device.controller)
         total_bytes = 0
         placement = device.placement
         for request_offset, request_size, request_dest in requests:
@@ -62,7 +62,7 @@ class PipetteCmbSystem(PipetteSystem):
 
         # Host side: per-access DMA mapping (the cost HMB avoids), pull
         # the demanded bytes over the link, land them in the cache.
-        device.dma.pull_per_access(tracer, total_bytes)
+        device.link.pull_per_access(tracer, total_bytes)
 
         if self.config.transfer_data:
             tracer.host("dram_copy", timing.dram_copy_ns(total_bytes))

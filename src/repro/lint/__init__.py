@@ -4,10 +4,9 @@ The reproduction's central claim — results are a deterministic function
 of config + seed on a virtual clock — is a *discipline*, not a language
 feature.  This package makes the discipline machine-checked:
 
-- :mod:`repro.lint.rules` hold the four domain rules
-  (``virtual-time-purity``, ``seeded-rng-only``,
-  ``shared-state-mutation``, ``suffixless-cost-literal``), each kept
-  because a mutation ledger row shows a bug only it catches;
+- :mod:`repro.lint.rules` hold the two domain rules
+  (``virtual-time-purity``, ``seeded-rng-only``), each kept because a
+  mutation ledger row shows a bug only it catches;
 - :mod:`repro.lint.engine` runs them over a file tree, honouring
   ``# simlint: allow[rule]`` suppressions and reporting allow comments
   that excuse nothing as ``unused-suppression``;

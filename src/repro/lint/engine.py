@@ -1,7 +1,7 @@
 """The simlint engine: collect files, run rules, filter suppressions.
 
 The engine is import-light and purely syntactic: it parses each file
-once, hands the shared :class:`ModuleContext` to every applicable rule,
+once, hands the shared :class:`ModuleContext` to every rule,
 and drops findings the source explicitly allows (``# simlint:
 allow[rule]``).  Every rule sees one module at a time.
 
@@ -61,8 +61,6 @@ def _lint_context(
     suppressions = SuppressionIndex.from_source(ctx.source)
     findings: list[Finding] = []
     for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
         for finding in rule.check(ctx):
             if not suppressions.allows(finding.line, finding.rule, finding.span_end):
                 findings.append(finding)

@@ -5,12 +5,7 @@ Importing this package registers every rule in
 the same ``@register`` decorator before invoking the engine.
 """
 
-from repro.lint.rules import (  # noqa: F401  (imported for registration)
-    cost_literal,
-    rng,
-    shared_state,
-    virtual_time,
-)
-from repro.lint.rules.base import RULES, Rule, SIM_PACKAGES, register
+from repro.lint.rules import rng, virtual_time  # noqa: F401  (imported for registration)
+from repro.lint.rules.base import RULES, Rule, register
 
-__all__ = ["RULES", "Rule", "SIM_PACKAGES", "register"]
+__all__ = ["RULES", "Rule", "register"]

@@ -10,29 +10,15 @@ from repro.lint.findings import Finding
 #: rule id -> rule instance; populated by the ``register`` decorator.
 RULES: dict[str, "Rule"] = {}
 
-#: The packages whose code runs on the virtual clock's critical path —
-#: the scope of the simulator-discipline rules (ISSUE: the simulation
-#: core; experiments/workloads are generators *around* it).  ``serve``
-#: is in scope: the event loop, arbitration and QoS all execute on the
-#: virtual timeline and must stay deterministic.
-SIM_PACKAGES = frozenset({"sim", "ssd", "kernel", "core", "baselines", "serve", "cluster"})
-
 
 class Rule:
-    """One invariant checker: an AST pass producing findings."""
+    """One invariant checker: an AST pass producing findings.
+
+    Every rule is enforced on every file it is run over.
+    """
 
     id: str = ""
     description: str = ""
-    #: ``repro`` subpackages the rule is enforced in; ``None`` enforces
-    #: everywhere.  Files outside the ``repro`` tree (fixtures, scripts)
-    #: always get every rule.
-    packages: frozenset[str] | None = None
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        if self.packages is None:
-            return True
-        subpackage = ctx.repro_subpackage
-        return subpackage is None or subpackage in self.packages
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         raise NotImplementedError
@@ -88,7 +74,6 @@ def module_aliases(tree: ast.Module, *modules: str) -> set[str]:
 __all__ = [
     "RULES",
     "Rule",
-    "SIM_PACKAGES",
     "attr_chain",
     "module_aliases",
     "register",

@@ -95,7 +95,6 @@ class SeededRngOnly(Rule):
         "global stream; inject a random.Random(seed) or "
         "numpy.random.default_rng(seed) plumbed from config"
     )
-    packages = None  # determinism is global; enforced everywhere
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []

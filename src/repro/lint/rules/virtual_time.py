@@ -47,7 +47,6 @@ class VirtualTimePurity(Rule):
         "time.sleep, ...) break virtual-time determinism; use the "
         "TimingModel and the event loop's virtual time instead"
     )
-    packages = None  # enforced everywhere under repro
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []

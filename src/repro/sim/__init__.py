@@ -3,11 +3,10 @@
 from repro.sim.latency import LatencyRecorder, LatencyStats
 from repro.sim.resources import ResourceModel
 from repro.sim.sanitize import SanitizeError, SimSanitizer
-from repro.sim.stats import Counter, HitMissCounter, TrafficMeter
+from repro.sim.stats import HitMissCounter, TrafficMeter
 from repro.sim.trace import Stage, StageTrace, Tracer
 
 __all__ = [
-    "Counter",
     "HitMissCounter",
     "LatencyRecorder",
     "LatencyStats",

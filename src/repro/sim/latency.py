@@ -1,14 +1,14 @@
 """Queue-depth-1 latency recording with log-spaced histograms.
 
-The paper's Figure 8 reports *average* read latency bucketed by request
-size; :class:`LatencyRecorder` keeps enough structure to regenerate that
-figure (per-size means) plus percentiles for diagnostics.
+A system's :class:`LatencyRecorder` summarizes every read it served:
+the mean (the paper's Figure 8 reports *average* read latency, one run
+per request size) plus approximate percentiles for diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class LatencyStats:
         return LatencyStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-class _Histogram:
-    """Log2-bucketed histogram keeping exact sum/min/max for the mean."""
+class LatencyRecorder:
+    """Log2-bucketed latency histogram keeping exact sum/min/max for the mean."""
 
     __slots__ = ("buckets", "count", "total_ns", "min_ns", "max_ns")
 
@@ -50,6 +50,9 @@ class _Histogram:
             self.min_ns = latency_ns
         if latency_ns > self.max_ns:
             self.max_ns = latency_ns
+
+    def mean_ns(self) -> float:
+        return self.total_ns / self.count if self.count else 0.0
 
     def percentile(self, fraction: float) -> float:
         """Approximate percentile from bucket upper bounds."""
@@ -76,45 +79,6 @@ class _Histogram:
             p50_ns=self.percentile(0.50),
             p99_ns=self.percentile(0.99),
         )
-
-
-@dataclass
-class LatencyRecorder:
-    """Latency samples grouped by an arbitrary key (usually read size)."""
-
-    _overall: _Histogram = field(default_factory=_Histogram)
-    _by_key: dict[object, _Histogram] = field(default_factory=dict)
-
-    def record(self, latency_ns: float, key: object = None) -> None:
-        """Record one sample, optionally grouped under ``key``."""
-        self._overall.record(latency_ns)
-        if key is not None:
-            histogram = self._by_key.get(key)
-            if histogram is None:
-                histogram = _Histogram()
-                self._by_key[key] = histogram
-            histogram.record(latency_ns)
-
-    @property
-    def count(self) -> int:
-        return self._overall.count
-
-    @property
-    def total_ns(self) -> float:
-        return self._overall.total_ns
-
-    def mean_ns(self, key: object = None) -> float:
-        histogram = self._overall if key is None else self._by_key.get(key)
-        if histogram is None or not histogram.count:
-            return 0.0
-        return histogram.total_ns / histogram.count
-
-    def stats(self, key: object = None) -> LatencyStats:
-        histogram = self._overall if key is None else self._by_key.get(key)
-        return histogram.stats() if histogram else LatencyStats.empty()
-
-    def keys(self) -> list[object]:
-        return list(self._by_key)
 
 
 __all__ = ["LatencyRecorder", "LatencyStats"]

@@ -1,32 +1,15 @@
-"""Counters used throughout the stack: hits/misses, traffic, events.
+"""Counters used throughout the stack: hits/misses and traffic.
 
 Plus :class:`LatencyHistogram`, the tail-latency accumulator of the
 serving layer: exact percentiles (p50/p95/p99/p99.9) with merge
-support, complementing the log-bucketed approximate histograms of
-:mod:`repro.sim.latency` that the per-size Figure 8 view uses.
+support, complementing the log-bucketed approximate histogram of
+:mod:`repro.sim.latency` that each storage system keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Counter:
-    """A named monotonically increasing event counter."""
-
-    name: str
-    value: int = 0
-
-    def incr(self, by: int = 1) -> int:
-        if by < 0:
-            raise ValueError("counters only count up")
-        self.value += by
-        return self.value
-
-    def reset(self) -> None:
-        self.value = 0
+from dataclasses import dataclass
 
 
 @dataclass
@@ -213,35 +196,8 @@ class LatencyHistogram:
         }
 
 
-@dataclass
-class StatRegistry:
-    """A loose bag of named counters for ad-hoc instrumentation."""
-
-    counters: dict[str, Counter] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        """Fetch-or-create a counter by name."""
-        found = self.counters.get(name)
-        if found is None:
-            found = Counter(name)
-            self.counters[name] = found
-        return found
-
-    def incr(self, name: str, by: int = 1) -> int:
-        return self.counter(name).incr(by)
-
-    def value(self, name: str) -> int:
-        found = self.counters.get(name)
-        return found.value if found else 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: counter.value for name, counter in sorted(self.counters.items())}
-
-
 __all__ = [
-    "Counter",
     "HitMissCounter",
     "LatencyHistogram",
-    "StatRegistry",
     "TrafficMeter",
 ]

@@ -8,11 +8,9 @@ Importing this package registers the three shipped backends:
 - ``nvme_fdp`` — PCIe transport with NVMe Flexible Data Placement
   handles segregating the FGRC's flash footprint by slab class.
 
-These modules run on the simulator's critical path and are covered by
-the simlint discipline rules: their ``repro_subpackage`` is ``ssd``,
-which is in ``repro.lint.rules.base.SIM_PACKAGES``.  Conformance to
-the :class:`Interconnect` / :class:`BufferPlacement` surface is checked
-when a backend class is created (see :mod:`repro.ssd.backends.base`).
+Conformance to the :class:`Interconnect` / :class:`BufferPlacement`
+surface is checked when a backend class is created (see
+:mod:`repro.ssd.backends.base`).
 """
 
 from repro.ssd.backends import cxl_lmb, nvme_fdp, pcie_gen3  # noqa: F401  (registration)

@@ -1,11 +1,10 @@
-"""SSD controller: read buffer, NAND scheduling, page senses.
+"""SSD controller: NAND scheduling and page senses.
 
 The controller owns the primitives every read path composes:
 
-- ``sense_page``: translate an LBA, occupy the owning flash channel for
-  tR plus the ONFI bus transfer, and land the page in the read buffer
-  (``sense_ppn`` does the same for a caller that already holds the
-  physical page, so each sensed page costs one ``translate``);
+- ``sense_ppn``: read one already translated page and occupy its
+  flash channel for tR plus the ONFI bus transfer (callers translate
+  each sensed page once);
 - ``record_array_phase``: the serial QD-1 array phase of the pages
   one command sensed;
 - :class:`ByteRead`: one command's byte-granular read, the sense and
@@ -23,26 +22,19 @@ through Pipette's Read Engine (:mod:`repro.core.engine`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.config import SimConfig
 from repro.sim.trace import Tracer
 from repro.ssd.backends.base import BufferPlacement
-from repro.ssd.cmb import ControllerMemoryBuffer
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.nand import FlashArray
 
 
-@dataclass(slots=True)
-class ReadBufferSlot:
-    lba: int
-    content: bytes | None
-
-
 @dataclass
 class SSDController:
-    """Device-side read buffer and flash scheduling."""
+    """Device-side flash scheduling."""
 
     config: SimConfig
     nand: FlashArray
@@ -52,40 +44,18 @@ class SSDController:
     tracer: Tracer
     #: Backend placement policy; writes are tagged with its handles
     #: (conventional stream unless an FDP-style backend segregates).
-    placement: BufferPlacement | None = None
-    read_buffer: list[ReadBufferSlot] = field(default_factory=list)
+    placement: BufferPlacement
     pages_sensed: int = 0
-    read_buffer_hits: int = 0
     #: Extra read attempts caused by injected transient faults.
     read_retries: int = 0
 
-    def __post_init__(self) -> None:
-        if self.placement is None:
-            self.placement = BufferPlacement()
-
     # --- primitives -----------------------------------------------------
-    def sense_page(self, lba: int) -> tuple[bytes | None, float]:
-        """Read one logical page from NAND into the read buffer.
+    def sense_ppn(self, lba: int, ppn: int) -> tuple[bytes | None, float]:
+        """Read logical page ``lba`` from NAND, at ``ppn = ftl.translate(lba)``.
 
         Returns ``(content, nand_ns)`` where ``nand_ns`` is the array
         occupancy charged to the page's channel (tR + bus transfer).
         """
-        return self.sense_ppn(lba, self.ftl.translate(lba))
-
-    def sense_ppn(self, lba: int, ppn: int) -> tuple[bytes | None, float]:
-        """``sense_page`` for a caller that already translated ``lba``.
-
-        ``ppn`` must be ``ftl.translate(lba)``; callers that also need
-        the physical page (its channel, CMB staging) translate once.
-        """
-        if self.config.ssd.read_buffer_hits:
-            for slot in reversed(self.read_buffer):
-                if slot.lba == lba:
-                    # Buffer hit: only the channel bus transfer, no tR.
-                    bus_ns = self.config.timing.channel_xfer_page_ns
-                    self.tracer.channel(self.nand.channel_of(ppn), "nand_bus", bus_ns)
-                    self.read_buffer_hits += 1
-                    return slot.content, float(bus_ns)
         attempts = 1
         if self.config.faults.enabled:
             # May raise NandReadError after exhausting retries.
@@ -97,7 +67,6 @@ class SSDController:
             + self.config.timing.channel_xfer_page_ns
         )
         self.tracer.channel(self.nand.channel_of(ppn), "tR", nand_ns)
-        self._buffer_insert(lba, content)
         self.pages_sensed += 1
         return content, nand_ns
 
@@ -106,7 +75,7 @@ class SSDController:
 
         Pages on distinct channels overlap, so the phase takes
         ``ceil(pages/channels)`` serial page times: a derived stage on
-        top of the per-page channel charges ``sense_page`` recorded.
+        top of the per-page channel charges ``sense_ppn`` recorded.
         No pages, no stage.
         """
         if per_page_ns:
@@ -144,16 +113,7 @@ class SSDController:
         self.placement.record_write(
             self.placement.block_handle, self.config.ssd.page_size, ppn=ppn_after
         )
-        self._buffer_invalidate(lba)
         return nand_ns
-
-    def _buffer_insert(self, lba: int, content: bytes | None) -> None:
-        self.read_buffer.append(ReadBufferSlot(lba, content))
-        if len(self.read_buffer) > self.config.ssd.read_buffer_pages:
-            self.read_buffer.pop(0)
-
-    def _buffer_invalidate(self, lba: int) -> None:
-        self.read_buffer = [slot for slot in self.read_buffer if slot.lba != lba]
 
 
 class ByteRead:
@@ -162,18 +122,14 @@ class ByteRead:
     ``extract`` senses each page a piece spans and slices out the
     piece's bytes; ``finish`` records the command's array phase.  A
     page is sensed at most once per command, in first-use order: the
-    read buffer holds it for the command's duration, so it pays tR
-    once however many pieces it serves.  With ``cmb`` each newly
-    sensed page is also staged there (2B-SSD style byte access).
+    controller holds it for the command's duration, so it pays tR
+    once however many pieces it serves.
     """
 
-    __slots__ = ("controller", "cmb", "_pages", "_ppns", "_nand_ns")
+    __slots__ = ("controller", "_pages", "_ppns", "_nand_ns")
 
-    def __init__(
-        self, controller: SSDController, cmb: ControllerMemoryBuffer | None = None
-    ) -> None:
+    def __init__(self, controller: SSDController) -> None:
         self.controller = controller
-        self.cmb = cmb
         self._pages: dict[int, bytes | None] = {}
         self._ppns: dict[int, int] = {}
         #: Array occupancy of each sensed page, in sensing order.
@@ -201,8 +157,6 @@ class ByteRead:
                 known[page_lba] = ppn
                 pages[page_lba] = content
                 self._nand_ns.append(nand_ns)
-                if self.cmb is not None:
-                    self.cmb.stage_page(ppn, content)
             ppns.append(ppn)
             contents.append(pages[page_lba])
         if not config.transfer_data:
@@ -215,4 +169,4 @@ class ByteRead:
         self.controller.record_array_phase(self._nand_ns)
 
 
-__all__ = ["ByteRead", "ReadBufferSlot", "SSDController"]
+__all__ = ["ByteRead", "SSDController"]

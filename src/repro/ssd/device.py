@@ -1,8 +1,8 @@
 """The assembled SSD device: one object the host systems talk to.
 
-``SSDDevice`` wires the NAND array, FTL, controller, PCIe link, DMA and
-MMIO models, and the CMB and HMB regions together, and offers the two
-kinds of read the paper compares:
+``SSDDevice`` wires the NAND array, FTL, controller, the host/device
+link and the HMB region together, and offers the two kinds of read the
+paper compares:
 
 - :meth:`block_read` -- the conventional page-granular path (used by
   Block I/O and by Pipette's coarse-grained dispatch); it senses each
@@ -10,8 +10,8 @@ kinds of read the paper compares:
   host in one transfer;
 - byte-granular reads through :class:`repro.ssd.controller.ByteRead`:
   Pipette's Read Engine (see :mod:`repro.core.engine`) for the HMB
-  path, and CMB staging for 2B-SSD MMIO/DMA and the ``pipette-cmb``
-  variant.
+  path, and the per-access CMB pulls of 2B-SSD MMIO/DMA and the
+  ``pipette-cmb`` variant (:class:`repro.ssd.pcie.PcieLink`).
 
 Timing contract: device methods record :class:`repro.sim.trace.Stage`
 entries into the active request's :class:`~repro.sim.trace.StageTrace`,
@@ -27,14 +27,10 @@ from repro.config import SimConfig
 from repro.sim.resources import ResourceModel
 from repro.sim.stats import TrafficMeter
 from repro.sim.trace import Tracer
-from repro.ssd.admin import FEATURE_HMB, AdminState
 from repro.ssd.backends import build_backend
-from repro.ssd.cmb import ControllerMemoryBuffer
 from repro.ssd.controller import SSDController
-from repro.ssd.dma import DmaEngine
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.hmb import HostMemoryBuffer
-from repro.ssd.mmio import MmioWindow
 from repro.ssd.nand import FlashArray
 from repro.ssd.pcie import PcieLink
 
@@ -58,15 +54,7 @@ class SSDDevice:
         #: unknown names raise KeyError here, at construction.
         self.backend = build_backend(config.backend, config.timing)
         self.placement = self.backend.placement
-        self.link = PcieLink(
-            timing=config.timing, interconnect=self.backend.interconnect
-        )
-        self.dma = DmaEngine(timing=config.timing, link=self.link)
-        self.mmio = MmioWindow(timing=config.timing, link=self.link)
-        self.cmb = ControllerMemoryBuffer(
-            size=max(config.ssd.page_size, config.ssd.read_buffer_pages * config.ssd.page_size),
-            page_size=config.ssd.page_size,
-        )
+        self.link = PcieLink(interconnect=self.backend.interconnect)
         self.hmb = HostMemoryBuffer(size=config.ssd.mapping_region_bytes)
         self.controller = SSDController(
             config=config,
@@ -75,24 +63,16 @@ class SSDDevice:
             tracer=self.tracer,
             placement=self.placement,
         )
-        self.admin = AdminState(spec=config.ssd)
 
     # --- initialization features ------------------------------------------
-    def enable_hmb(self, grant_bytes: int | None = None) -> float:
-        """Enable the HMB feature: one-time persistent DMA mapping.
+    def enable_hmb(self) -> float:
+        """Enable the HMB: the one-time persistent DMA mapping.
 
-        Runs the real admin protocol — IDENTIFY to learn the preferred
-        HMB size, SET FEATURES (0x0D) to grant it — then establishes
-        the persistent mapping.  Returns the setup latency (paid once
-        at initialization, *not* on the critical path of any read —
-        the point of Pipette's HMB choice over CMB, paper 3.1.1).
+        Returns the setup latency (paid once at initialization, *not*
+        on the critical path of any read — the point of Pipette's HMB
+        choice over CMB, paper 3.1.1); a second call returns 0.0.
         """
-        identity = self.admin.identify()
-        self.admin.set_feature(
-            FEATURE_HMB,
-            grant_bytes if grant_bytes is not None else identity.hmb_preferred_bytes,
-        )
-        return self.dma.establish_persistent_mapping(self.tracer)
+        return self.link.establish_persistent_mapping(self.tracer)
 
     # --- traffic -----------------------------------------------------------
     @property

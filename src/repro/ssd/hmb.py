@@ -10,30 +10,25 @@ The region is provisioned address space, not filled memory: it is an
 anonymous private mapping, so the OS supplies a zeroed page the first
 time one is touched.  Construction is O(1) and resident memory equals
 the pages actually written, which is none when payloads are not
-transferred.  :class:`MemoryRegion` is shared with the controller
-memory buffer (``ssd/cmb.py``).
+transferred.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 
 @dataclass
-class MemoryRegion:
-    """Flat, bounds-checked, lazily backed byte region."""
-
-    #: Short name used in error messages.
-    label: ClassVar[str] = "region"
+class HostMemoryBuffer:
+    """Flat host-resident region addressable by both host and device."""
 
     size: int
     _data: mmap.mmap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
-            raise ValueError(f"{self.label} size must be positive")
+            raise ValueError("HMB size must be positive")
         # Private, so a forked process gets copy-on-write pages as it
         # would with a bytearray.
         self._data = mmap.mmap(-1, self.size, flags=mmap.MAP_PRIVATE)
@@ -53,15 +48,8 @@ class MemoryRegion:
             raise ValueError("negative length")
         if addr < 0 or addr + length > self.size:
             raise ValueError(
-                f"access [{addr}, {addr + length}) outside {self.label} of {self.size} bytes"
+                f"access [{addr}, {addr + length}) outside HMB of {self.size} bytes"
             )
 
 
-@dataclass
-class HostMemoryBuffer(MemoryRegion):
-    """Flat host-resident region addressable by both host and device."""
-
-    label: ClassVar[str] = "HMB"
-
-
-__all__ = ["HostMemoryBuffer", "MemoryRegion"]
+__all__ = ["HostMemoryBuffer"]

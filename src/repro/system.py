@@ -146,7 +146,7 @@ class StorageSystem(abc.ABC):
         finally:
             trace = self.tracer.end()
         self.device.traffic.demand(size)
-        self.latency.record(trace.latency_ns(), key=size)
+        self.latency.record(trace.latency_ns())
         self.last_demand = trace.demand()
         for name, ns in trace.latency_by_name().items():
             self._stage_latency[name] = self._stage_latency.get(name, 0.0) + ns

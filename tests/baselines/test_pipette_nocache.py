@@ -2,7 +2,7 @@
 
 from repro.system import build_system
 
-from tests.conftest import make_open_file, small_sim_config
+from tests.conftest import make_open_file, read_latency_ns, small_sim_config
 
 
 def make():
@@ -11,8 +11,8 @@ def make():
 
 def test_hmb_mapping_established_at_init():
     system = make()
-    assert system.device.dma.map_established
-    assert system.device.dma.mappings_created == 1
+    assert system.device.link.map_established
+    assert system.device.link.mappings_created == 1
 
 
 def test_no_per_access_mapping_cost():
@@ -21,7 +21,7 @@ def test_no_per_access_mapping_cost():
     system.read(fd, 0, 128)
     system.read(fd, 300, 128)
     # Still only the persistent mapping from initialization.
-    assert system.device.dma.mappings_created == 1
+    assert system.device.link.mappings_created == 1
 
 
 def test_traffic_is_demanded_bytes():
@@ -45,9 +45,7 @@ def test_faster_than_2b_ssd_dma():
     dma = build_system("2b-ssd-dma", small_sim_config())
     fd_n = make_open_file(nocache)
     fd_d = make_open_file(dma)
-    nocache.read(fd_n, 0, 128)
-    dma.read(fd_d, 0, 128)
-    gap = dma.latency.mean_ns(128) - nocache.latency.mean_ns(128)
+    gap = read_latency_ns(dma, fd_d, 0, 128) - read_latency_ns(nocache, fd_n, 0, 128)
     # Paper: the per-access DMA mapping costs 2B-SSD DMA 21.79-25.06 us.
     assert 15_000 < gap < 40_000
 

@@ -49,6 +49,13 @@ def make_open_file(system, path="/data/file.bin", size=1 * MIB, flags=O_RDWR | O
     return system.open(path, flags)
 
 
+def read_latency_ns(system, fd: int, offset: int, size: int) -> float:
+    """Read once and return that read's critical-path latency."""
+    before = system.latency.total_ns
+    system.read(fd, offset, size)
+    return system.latency.total_ns - before
+
+
 @pytest.fixture
 def open_fd(pipette):
     return make_open_file(pipette)

@@ -1,5 +1,7 @@
 """Tests for the fine-grained read cache facade."""
 
+import random
+
 import pytest
 
 from repro.config import KIB, CacheConfig, PipetteConfig
@@ -119,6 +121,37 @@ def test_migrated_items_still_readable():
         probe = cache.lookup(1, 0, 48)
         if probe.hit:
             assert cache.read_item(probe.item) == b"m" * 48
+
+
+def _migration_donors(global_seed: int) -> list[int]:
+    """Donor class of each slab migration in a seeded fill sequence."""
+    random.seed(global_seed)
+    cache, _, _ = make_cache(fgrc_kib=128, slab_kib=16, shared_kib=4096)
+    donors: list[int] = []
+    migrate = cache._migrate_slab_out
+
+    def recording(donor, slab):
+        donors.append(donor.index)
+        migrate(donor, slab)
+
+    cache._migrate_slab_out = recording
+    # Classes 64 and 128 take three slabs each (six of eight); the 256
+    # and 512 classes then grow by migrating slabs out of them.
+    offset = 0
+    for length, count in ((48, 3 * 256), (100, 3 * 128), (200, 200), (400, 200)):
+        for _ in range(count):
+            cache.admit(1, offset, length)
+            offset += 4096
+    return donors
+
+
+def test_migration_donor_sequence_is_pinned_and_seeded():
+    # Paper 3.2.1 #2 picks the donor at random among the classes with
+    # more than one slab; the draw comes from the cache's own seeded
+    # stream, so the global ``random`` state cannot move it.
+    donors = _migration_donors(global_seed=1)
+    assert donors == [0, 2, 0, 2, 2, 3, 1, 3, 3]
+    assert _migration_donors(global_seed=2) == donors
 
 
 def test_invalidate_range_overlap():

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.config import TimingModel
 from repro.kernel.vfs import O_FINE_GRAINED, O_RDONLY, O_RDWR
+from repro.sim.trace import HOST
 from repro.system import build_system
 
-from tests.conftest import make_open_file, small_sim_config
+from tests.conftest import make_open_file, read_latency_ns, small_sim_config
 
 
 @pytest.fixture
@@ -15,14 +17,67 @@ def system():
 
 def test_fine_read_miss_then_hit_latency(system):
     fd = make_open_file(system)
-    system.read(fd, 1000, 128)
-    miss_latency = system.latency.mean_ns(128)
-    system.read(fd, 1000, 128)
+    miss_latency = read_latency_ns(system, fd, 1000, 128)
+    hit_latency = read_latency_ns(system, fd, 1000, 128)
     # The second read is a cache hit, far cheaper than the miss.
     assert system.cache.counter.hits == 1
-    hit_latency = 2 * system.latency.mean_ns(128) - miss_latency
     assert hit_latency < miss_latency / 10
     assert hit_latency < 5_000  # ~2 us, the paper's anchor
+
+
+#: Every host-stage cost of the fine path, each distinct and off its default.
+HOST_COSTS = {
+    "fine_stack_ns": 1_211,
+    "page_cache_hit_ns": 2_207,
+    "fgrc_hit_ns": 1_513,
+    "fine_miss_host_ns": 1_817,
+    "completion_ns": 1_019,
+    "block_stack_ns": 2_501,
+    "block_layer_ns": 2_503,
+}
+
+
+def test_fine_path_records_the_configured_host_costs():
+    default = TimingModel()
+    assert all(getattr(default, name) != ns for name, ns in HOST_COSTS.items())
+    timing = TimingModel(dram_bw_bytes_per_ns=7.0, **HOST_COSTS)
+    system = build_system("pipette", small_sim_config(timing=timing))
+    system.create_file("/data/file.bin", 1 << 20)
+    fine = system.open("/data/file.bin", O_RDWR | O_FINE_GRAINED)
+    plain = system.open("/data/file.bin", O_RDONLY)
+    traces = []
+    begin = system.tracer.begin
+
+    def recording(name):
+        trace = begin(name)
+        traces.append(trace)
+        return trace
+
+    system.tracer.begin = recording
+    system.read(fine, 1000, 128)  # FGRC miss
+    system.read(fine, 1000, 128)  # FGRC hit
+    system.read(plain, 8192, 4096)  # block read: page 2 now resident
+    system.read(fine, 8200, 64)  # page-cache hit on the fine path
+    miss, hit, block, page_hit = (
+        [(stage.name, stage.ns) for stage in trace.stages if stage.resource == HOST]
+        for trace in traces
+    )
+    assert miss == [
+        ("fine_stack", 1_211),
+        ("fine_miss_host", 1_817),
+        ("completion", 1_019),
+        ("dram_copy", 128 / 7.0),
+    ]
+    assert hit == [("fine_stack", 1_211), ("fgrc_hit", 1_513), ("dram_copy", 128 / 7.0)]
+    assert page_hit == [("fine_stack", 1_211), ("page_cache_hit", 2_207), ("dram_copy", 64 / 7.0)]
+    assert block == [
+        ("block_stack", 2_501),
+        ("block_layer", 2_503),
+        ("completion", 1_019),
+        ("dram_copy", 4096 / 7.0),
+    ]
+    assert system.cache.counter.hits == 1
+    assert system.fine_page_cache_hits == 1
 
 
 def test_fine_read_returns_correct_bytes(system):

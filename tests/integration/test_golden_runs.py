@@ -1,7 +1,7 @@
 """Golden run digests: serve, cluster and the queueing replay.
 
 ``tests/data/golden_runs.json`` pins the sha256 of whole runs of the
-three event-loop programs — two serving configs, one cluster config
+three event-loop programs — three serving configs, one cluster config
 per replica policy with all three fault kinds active, and one seeded
 :class:`~repro.sim.queueing.PipelineSimulator` replay.  A refactor of
 the stage pipeline, the server core or the event loop must keep every
@@ -75,6 +75,19 @@ def _serve_open_bucket_shed() -> ServeConfig:
     )
 
 
+def _serve_open_limited_shed() -> ServeConfig:
+    # One tenant both rate-limits and sheds: the bucket delays some ops
+    # and a full ring sheds others, so a shed op that touched the
+    # bucket (a refunded or a spent token) moves the digest.
+    qos = TenantQoS(rate_limit_qps=30_000.0, burst=4, queue_depth=4, full_policy=SHED)
+    return ServeConfig(
+        tenants=(TenantSpec("bursty", _synthetic(23), qos=qos, mode="open", rate_qps=60_000.0),),
+        arbitration="rr",
+        max_inflight=2,
+        seed=7,
+    )
+
+
 def _cluster(policy: str) -> ClusterConfig:
     tenants = []
     for index, name in enumerate(("alpha", "beta")):
@@ -134,6 +147,9 @@ RUNS = {
     "serve-open-bucket-shed": lambda: _sha256(
         serve(_serve_open_bucket_shed(), small_sim_config()).to_dict()
     ),
+    "serve-open-limited-shed": lambda: _sha256(
+        serve(_serve_open_limited_shed(), small_sim_config()).to_dict()
+    ),
     **{
         f"cluster-{policy}-faults": (
             lambda policy=policy: _sha256(
@@ -152,6 +168,13 @@ def _golden() -> dict[str, str]:
 
 def test_golden_runs_cover_every_run():
     assert sorted(_golden()) == sorted(RUNS)
+
+
+def test_limited_shed_run_both_delays_and_sheds():
+    result = serve(_serve_open_limited_shed(), small_sim_config()).to_dict()
+    bursty = result["tenants"]["bursty"]
+    assert bursty["rate_delayed"] > 0
+    assert bursty["shed"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

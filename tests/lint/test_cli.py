@@ -18,12 +18,7 @@ SUPPRESSED = (
 def test_list_rules(capsys) -> None:
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in (
-        "virtual-time-purity",
-        "seeded-rng-only",
-        "shared-state-mutation",
-        "suffixless-cost-literal",
-    ):
+    for rule in ("virtual-time-purity", "seeded-rng-only"):
         assert rule in out
 
 

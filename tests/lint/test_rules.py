@@ -22,8 +22,6 @@ FIXTURE_RULES = {
     "wallclock.py": "virtual-time-purity",
     "unseeded_rng.py": "seeded-rng-only",
     "aliased_rng.py": "seeded-rng-only",
-    "cost_literal.py": "suffixless-cost-literal",
-    "shared_mutation.py": "shared-state-mutation",
     "clean.py": None,
 }
 
@@ -86,47 +84,15 @@ def test_rule_catches_its_counterexample(name: str, rule: str) -> None:
 # --- targeted edge cases the fixtures keep implicit -------------------
 
 
-def test_package_scoping_exempts_non_sim_packages() -> None:
-    source = "def f(bucket):\n    bucket.tokens -= 1.0\n"
-    # Inside an enforced simulator package: flagged.
-    assert lint_source(source, "src/repro/ssd/thing.py")
-    # Analysis/reporting code is outside the shared-state-mutation scope.
-    assert not lint_source(source, "src/repro/analysis/thing.py")
-    # Files outside the repro tree get the full rule set.
-    assert lint_source(source, "scripts/thing.py")
-
-
-def test_serve_package_is_in_simulator_scope() -> None:
-    # The serving layer runs on the virtual timeline: the scoped
-    # discipline rules (engine-state mutation, cost literals) apply to
-    # it exactly as to the simulator core.
-    mutation = "def f(lane):\n    lane.bucket.tokens += 1.0\n"
-    findings = lint_source(mutation, "src/repro/serve/thing.py")
-    assert "shared-state-mutation" in {f.rule for f in findings}
-    literal = "def f(tracer):\n    tracer.host(\"fgrc_hit\", 1_500)\n"
-    findings = lint_source(literal, "src/repro/serve/thing.py")
-    assert "suffixless-cost-literal" in {f.rule for f in findings}
-
-
 def test_serve_package_globals_still_enforced() -> None:
-    # The global rules were never scoped; a wall-clock read or an
-    # unseeded RNG in the serving layer is flagged like anywhere else.
+    # Every rule applies everywhere: a wall-clock read or an unseeded
+    # RNG in the serving layer is flagged like anywhere else.
     source = "import time\n\ndef f():\n    return time.time()\n"
     findings = lint_source(source, "src/repro/serve/thing.py")
     assert {f.rule for f in findings} == {"virtual-time-purity"}
     source = "import random\n\ndef f():\n    return random.random()\n"
     findings = lint_source(source, "src/repro/serve/thing.py")
     assert "seeded-rng-only" in {f.rule for f in findings}
-
-
-def test_choke_point_modules_are_exempt() -> None:
-    # The token bucket's own module may write its state; everywhere
-    # else in the simulator a write to it is flagged.
-    source = "def f(bucket, now_ns):\n    bucket.updated_ns = now_ns\n"
-    assert not lint_source(source, "src/repro/serve/qos.py")
-    for path in ("src/repro/sim/resources.py", "src/repro/ssd/device.py"):
-        findings = lint_source(source, path)
-        assert {f.rule for f in findings} == {"shared-state-mutation"}
 
 
 def test_aliased_time_import_still_flagged() -> None:

@@ -14,20 +14,6 @@ def test_mean_overall():
     assert recorder.total_ns == 400.0
 
 
-def test_mean_by_key():
-    recorder = LatencyRecorder()
-    recorder.record(10.0, key=128)
-    recorder.record(30.0, key=128)
-    recorder.record(1000.0, key=4096)
-    assert recorder.mean_ns(128) == 20.0
-    assert recorder.mean_ns(4096) == 1000.0
-    assert set(recorder.keys()) == {128, 4096}
-
-
-def test_missing_key_mean_is_zero():
-    assert LatencyRecorder().mean_ns(99) == 0.0
-
-
 def test_stats_min_max():
     recorder = LatencyRecorder()
     for value in (5.0, 50.0, 500.0):

@@ -4,25 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.stats import (
-    Counter,
-    HitMissCounter,
-    LatencyHistogram,
-    StatRegistry,
-    TrafficMeter,
-)
-
-
-def test_counter_increments():
-    counter = Counter("x")
-    counter.incr()
-    counter.incr(4)
-    assert counter.value == 5
-
-
-def test_counter_rejects_negative():
-    with pytest.raises(ValueError):
-        Counter("x").incr(-1)
+from repro.sim.stats import HitMissCounter, LatencyHistogram, TrafficMeter
 
 
 def test_hit_miss_ratio():
@@ -82,16 +64,6 @@ def test_amplification_without_demand_is_zero():
     meter = TrafficMeter()
     meter.device_read(10)
     assert meter.read_amplification == 0.0
-
-
-def test_registry_fetch_or_create():
-    registry = StatRegistry()
-    registry.incr("a")
-    registry.incr("a", 2)
-    registry.incr("b")
-    assert registry.value("a") == 3
-    assert registry.value("missing") == 0
-    assert registry.snapshot() == {"a": 3, "b": 1}
 
 
 # --- LatencyHistogram -------------------------------------------------

@@ -242,22 +242,6 @@ def test_crossover_helper():
     assert backend_matrix.crossover_bytes(latencies, [8, 64, 512]) is None
 
 
-# --- simlint coverage (satellite 5) ------------------------------------
-
-
-def test_simlint_covers_the_backends_package():
-    """ssd/backends files fall under the "ssd" subpackage, which is in
-    SIM_PACKAGES — every package-scoped simulator rule applies there."""
-    from repro.lint.context import ModuleContext
-    from repro.lint.rules.base import SIM_PACKAGES
-
-    ctx = ModuleContext.parse(
-        "src/repro/ssd/backends/cxl_lmb.py", "x = 1\n"
-    )
-    assert ctx.repro_subpackage == "ssd"
-    assert ctx.repro_subpackage in SIM_PACKAGES
-
-
 # --- contract conformance at class creation -----------------------------
 
 

@@ -132,15 +132,6 @@ def test_byte_read_senses_a_shared_page_once():
     assert len(phases) == 1
 
 
-def test_byte_read_stages_cmb_only_when_asked():
-    device = make_device()
-    ByteRead(device.controller).extract(3, 0, 8)
-    assert device.cmb.staged_ppn(0) is None
-    ByteRead(device.controller, cmb=device.cmb).extract(5, 0, 8)
-    assert device.cmb.staged_ppn(0) == device.ftl.translate(5)
-    assert device.cmb.read(0, 4096) == page_pattern(5)
-
-
 def test_byte_read_payload_is_none_without_data():
     device = make_device(transfer_data=False)
     read = ByteRead(device.controller)
@@ -161,13 +152,6 @@ def test_transfer_data_false_skips_payloads():
     device = make_device(transfer_data=False)
     assert device.block_read([0])[0] is None
     assert device.traffic.device_to_host_bytes == 4096
-
-
-def test_read_buffer_bounded():
-    device = make_device()
-    for lba in range(device.config.ssd.read_buffer_pages + 10):
-        device.controller.sense_page(lba)
-    assert len(device.controller.read_buffer) <= device.config.ssd.read_buffer_pages
 
 
 def test_block_sense_returns_pages_and_costs():

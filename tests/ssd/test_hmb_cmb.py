@@ -1,9 +1,8 @@
-"""Tests for the HMB and CMB memory regions."""
+"""Tests for the HMB memory region."""
 
 import pytest
 
 from repro.config import MIB
-from repro.ssd.cmb import ControllerMemoryBuffer
 from repro.ssd.hmb import HostMemoryBuffer
 
 
@@ -62,43 +61,3 @@ def test_hmb_bounds_checked():
 def test_hmb_requires_positive_size():
     with pytest.raises(ValueError):
         HostMemoryBuffer(size=0)
-
-
-def test_cmb_stage_and_read():
-    cmb = ControllerMemoryBuffer(size=4 * 4096, page_size=4096)
-    payload = bytes(range(256)) * 16
-    addr = cmb.stage_page(7, payload)
-    assert cmb.read(addr, 16) == payload[:16]
-    assert cmb.staged_ppn(addr // 4096) == 7
-
-
-def test_cmb_slots_rotate():
-    cmb = ControllerMemoryBuffer(size=2 * 4096, page_size=4096)
-    a = cmb.stage_page(1, None)
-    b = cmb.stage_page(2, None)
-    c = cmb.stage_page(3, None)  # wraps to slot 0
-    assert (a, b) == (0, 4096)
-    assert c == 0
-    assert cmb.staged_ppn(0) == 3
-
-
-def test_cmb_rejects_partial_page():
-    cmb = ControllerMemoryBuffer(size=4096, page_size=4096)
-    with pytest.raises(ValueError):
-        cmb.stage_page(0, b"short")
-
-
-def test_cmb_bounds():
-    cmb = ControllerMemoryBuffer(size=4096, page_size=4096)
-    with pytest.raises(ValueError):
-        cmb.read(4090, 100)
-    with pytest.raises(ValueError):
-        cmb.read(-1, 4)
-    with pytest.raises(ValueError):
-        ControllerMemoryBuffer(size=100, page_size=4096)
-
-
-def test_cmb_rejects_negative_length_read():
-    cmb = ControllerMemoryBuffer(size=4 * 4096, page_size=4096)
-    with pytest.raises(ValueError):
-        cmb.read(0, -1)

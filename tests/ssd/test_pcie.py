@@ -1,10 +1,11 @@
-"""Tests for PCIe link, DMA engine and MMIO window models."""
+"""Tests for the host/device link: DMA, mappings and MMIO loads."""
 
 import pytest
 
 from repro.config import TimingModel
-from repro.ssd.dma import DmaEngine
-from repro.ssd.mmio import MmioWindow
+from repro.sim.resources import ResourceModel
+from repro.sim.trace import Tracer
+from repro.ssd.backends.pcie_gen3 import PcieGen3Interconnect
 from repro.ssd.pcie import PcieLink
 
 
@@ -15,7 +16,16 @@ def timing():
 
 @pytest.fixture
 def link(timing):
-    return PcieLink(timing=timing)
+    return PcieLink(interconnect=PcieGen3Interconnect(timing))
+
+
+@pytest.fixture
+def tracer():
+    return Tracer(ResourceModel())
+
+
+def _stages(tracer):
+    return [(stage.name, stage.ns) for stage in tracer.ambient.stages]
 
 
 def test_dma_to_host_timing_and_traffic(link, timing):
@@ -58,29 +68,33 @@ def test_mmio_meters_traffic(link):
     assert link.traffic.device_to_host_bytes == 100
 
 
-def test_dma_persistent_mapping_paid_once(timing, link):
-    dma = DmaEngine(timing=timing, link=link)
-    first = dma.establish_persistent_mapping()
-    second = dma.establish_persistent_mapping()
+def test_dma_persistent_mapping_paid_once(timing, link, tracer):
+    first = link.establish_persistent_mapping(tracer)
+    second = link.establish_persistent_mapping(tracer)
     assert first == timing.dma_map_ns
     assert second == 0.0
-    assert dma.mappings_created == 1
+    assert link.map_established
+    assert link.mappings_created == 1
+    (stage,) = tracer.ambient.stages
+    assert (stage.name, stage.ns) == ("hmb_setup", timing.dma_map_ns)
+    assert not stage.latency and not stage.charged
 
 
-def test_dma_per_access_mapping_cost(timing, link):
-    dma = DmaEngine(timing=timing, link=link)
-    with_map = dma.transfer_to_host_ns(128, per_access_map=True)
-    without = dma.transfer_to_host_ns(128)
-    assert with_map == pytest.approx(without + timing.dma_map_ns)
-    assert dma.mappings_created == 1
+def test_dma_per_access_mapping_cost(timing, link, tracer):
+    link.pull_per_access(tracer, 128)
+    assert _stages(tracer) == [
+        ("dma_map", timing.dma_map_ns),
+        ("pcie_xfer", pytest.approx(link.interconnect.bulk_transfer_ns(128))),
+    ]
+    assert link.mappings_created == 1
+    assert link.traffic.device_to_host_bytes == 128
 
 
-def test_mmio_fault_counted(timing, link):
-    window = MmioWindow(timing=timing, link=link)
-    cost = window.fault_ns()
-    assert cost == timing.page_fault_ns
-    window.fault_ns()
-    assert window.faults_taken == 2
+def test_mmio_fault_counted(timing, link, tracer):
+    link.mmio_pull(tracer, 8)
+    assert _stages(tracer)[0] == ("mmio_fault", timing.page_fault_ns)
+    link.mmio_pull(tracer, 8)
+    assert link.faults_taken == 2
 
 
 def test_timing_helper_dram_copy(timing):

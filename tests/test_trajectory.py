@@ -14,9 +14,24 @@ def _write_bench(results: Path, area: str, payload: dict) -> None:
 
 
 def test_default_label_counts_changes_entries(tmp_path: Path) -> None:
+    # The label is the highest PR number heading an entry, however many
+    # lines each entry takes: multi-line entries, sub-bullets, an
+    # unlabelled entry and FOUND lines that cite a later PR do not count.
     changes = tmp_path / "CHANGES.md"
-    changes.write_text("# Changes\n\n- PR one\n- PR two\n")
-    assert default_label(changes) == "pr2"
+    changes.write_text(
+        "# Changes\n\n"
+        "- PR 1: first change.\n"
+        "- **PR 20 (perf): a change\n"
+        "  that spans two lines.**\n"
+        "- a sub-bullet with no number\n"
+        "An unlabelled entry that mentions PR 99 mid-line.\n"
+        "FOUND: seen after PR 30 in `a.py`.\n"
+        "- **PR 22 (tests follow-up).**\n"
+        "PR 21: an entry written without a bullet.\n"
+    )
+    assert default_label(changes) == "pr22"
+    changes.write_text("# Changes\n\n- an entry\n- another entry\n")
+    assert default_label(changes) == "pr0"
 
 
 def test_default_label_missing_changes_is_pr0(tmp_path: Path) -> None:
