@@ -22,15 +22,21 @@ Determinism contract
   ``(time_ns, tie, seq, event)`` tuples; ``seq`` is unique, so the
   tuple compare never reaches the event object.
 - Each virtual timestamp runs a *wave* (every event at that time) and
-  then *settle passes*.  A settler runs in a pass only if it was woken
-  (:meth:`EventLoop.add_settler` returns the ``wake`` handle) since it
-  last ran, and woken settlers run in ascending registration order.  A
-  settler woken at or before the pass's current position — including
-  one that wakes itself — runs in the *next* pass.  That is exactly the
-  call order of polling every settler on every pass and skipping the
-  ones with nothing buffered, so the cost is proportional to the work
-  while the order stays fixed at construction, tie-break independent.
-  A component that buffers settle work without calling ``wake()``
+  then *settle passes*.  A pass has two phases.  The *admission phase*
+  admits every :class:`FifoResource`'s buffered arrivals in key order:
+  it is settler 0, which every loop registers for itself and ``run``
+  calls at the start of each pass that has arrivals, without a wake.
+  Then the woken settlers run (:meth:`EventLoop.add_settler` returns
+  the ``wake`` handle), in ascending registration order.  A settler
+  woken at or before the pass's current position — including one that
+  wakes itself — runs in the *next* pass, and so does the admission of
+  an acquire made by a settler.  That is exactly the call order of
+  polling every settler on every pass and skipping the ones with
+  nothing buffered, so the cost is proportional to the work while the
+  order stays fixed at construction, tie-break independent.  A
+  timestamp ends as soon as a pass leaves nothing woken, nothing to
+  admit and no event at the current time.
+- A component that buffers settle work without calling ``wake()``
   loses it; the runtime sanitizer (``REPRO_SANITIZE=1``) polls the
   un-woken settlers whenever a timestamp goes quiescent and raises
   :class:`~repro.sim.sanitize.SanitizeError` on such a lost wakeup.
@@ -42,8 +48,22 @@ Determinism contract
 - ``schedule`` rejects non-finite and negative delays: one NaN
   poisons every later timestamp.
 
+FIFO admission
+--------------
+
+A :class:`FifoResource` is ``servers`` identical servers behind one
+FCFS queue, and it keeps no queue: it keeps the time each server next
+falls free (a min-heap).  Admitting a job is the Lindley
+(Kiefer–Wolfowitz for ``servers > 1``) recursion: the job starts at
+``max(now, earliest free time)``, takes that server, and its
+completion goes straight onto the event heap at ``start + service``.
+Jobs admitted in FCFS order start in that order, so the completion
+times are exactly those of an event-driven queue that starts the next
+job when a server frees, and a stage hop costs one heap push and one
+event.  One admission call per pass serves every FIFO of the loop.
+
 Order independence is built in, not checked per access: contended
-decisions wait for the settle phase, :class:`FifoResource` admits a
+decisions wait for the settle phase, a :class:`FifoResource` admits a
 wave's arrivals by their stable keys (an unkeyed acquire while the
 loop runs is a ``ValueError``), and the sanitizer catches a lost
 wakeup.  Whether a whole program kept the contract is what
@@ -53,36 +73,39 @@ every seeded tie-break.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import random
-from collections import deque
+from operator import itemgetter
 from typing import Callable
 
 from repro.sim import sanitize
 
 
-class ScheduledEvent:
-    """Handle for a pending callback; ``cancel()`` to drop it."""
+class ScheduledEvent(functools.partial):
+    """Handle for a pending callback; ``cancel()`` to drop it.
 
-    __slots__ = ("callback", "cancelled")
+    The event is a ``functools.partial`` of its callback — of
+    ``done(end_ns)`` for a FIFO completion — so building and firing it
+    runs no Python frame of the event's own.  ``cancelled`` is a class
+    default that ``cancel`` shadows on the one instance.
+    """
 
-    def __init__(self, callback: Callable[[], None]) -> None:
-        self.callback = callback
-        self.cancelled = False
+    __slots__ = ()
+    cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
-        self.callback = _noop
-
-
-def _noop() -> None:
-    return None
 
 
 def _label(callback: Callable[[], None]) -> str:
     return getattr(callback, "__qualname__", None) or repr(callback)
+
+
+_arrival_key = itemgetter(0)
+_INF = math.inf
 
 
 class EventLoop:
@@ -105,7 +128,7 @@ class EventLoop:
         if not math.isfinite(start_ns) or start_ns < 0:
             raise ValueError(f"loop cannot start at {start_ns!r}")
         self.now_ns = float(start_ns)
-        self._heap: list[tuple[float, float, int, ScheduledEvent]] = []
+        self._heap: list[tuple[float, float, int, object]] = []
         self._seq = itertools.count()
         self.processed = 0
         self.running = False
@@ -119,31 +142,42 @@ class EventLoop:
         self._next_pass: list[int] = []
         #: Index of the settler the current pass is at; -1 between passes.
         self._settle_pos = -1
+        #: Arrivals for the next admission phase: (key, fifo, service, done).
+        self._arrivals: list[tuple[int, FifoResource, float, Callable[[float], None]]] = []
         self._tiebreak = (
             random.Random(tiebreak_seed) if tiebreak_seed is not None else None
         )
+        # Admission is settler 0; ``run`` calls it at the start of every
+        # settle pass that has arrivals, without a wake.  Registered like
+        # any settler, it is polled by the sanitizer's lost-wakeup check
+        # and seen by anything that wraps ``add_settler`` (a profiler).
+        self.add_settler(_admission(self))
 
     def add_settler(self, settler: Callable[[], bool]) -> Callable[[], None]:
         """Register a settle hook; returns its ``wake()`` handle.
 
         ``run`` processes each virtual timestamp in two phases: the
         *wave* drains every event at that time (in tie-break order),
-        then settle passes run the woken settlers — in registration
-        order, which is fixed at construction and therefore tie-break
-        independent.  Deferring contended decisions (resource
-        admission, ring arbitration) to the settle phase is what makes
-        them order-independent: a settler sees the aggregate effect of
-        the whole wave, never a tie-break-dependent prefix of it.
+        then settle passes admit the FIFO arrivals (settler 0, which
+        the loop registers for itself) and run the woken settlers — in
+        registration order, which is fixed at construction and
+        therefore tie-break independent.  Deferring
+        contended decisions (resource admission, ring arbitration) to
+        the settle phase is what makes them order-independent: a
+        settler sees the aggregate effect of the whole wave, never a
+        tie-break-dependent prefix of it.
 
         The wake contract: a component calls ``wake()`` whenever it
         buffers work for its settler.  A settler runs once per pass it
         was woken for; one woken at or before the running pass's
         position (itself included) runs in the next pass, one woken
-        later in the order still runs in this pass.  A settler returns
-        whether it did any work; settle passes repeat until a pass does
-        nothing and no same-time events remain.  Waking is idempotent
-        until the settler runs, and a wake outside ``run`` takes effect
-        at the first settle pass of the next run.
+        later in the order still runs in this pass.  Passes repeat
+        while a settler is woken, a FIFO holds arrivals or an event is
+        due at the current time.  Waking is idempotent until the
+        settler runs, and a wake outside ``run`` takes effect at the
+        first settle pass of the next run.  The return value says
+        whether the settler did any work; only the sanitizer's
+        lost-wakeup poll reads it.
         """
         index = len(self._settlers)
         self._settlers.append(settler)
@@ -199,12 +233,12 @@ class EventLoop:
 
         Each virtual timestamp runs in two phases: the *wave* drains
         every event at that time (including events the wave itself
-        schedules at the same time), then settle passes run the woken
-        settlers until quiescent (see :meth:`add_settler` for the wake
-        contract and the next-pass rule).  Settling may spawn new
-        same-time events, which start another wave; time advances only
-        when a timestamp is fully quiescent: a pass did no work and no
-        event remains at the current time.
+        schedules at the same time), then settle passes — each one the
+        FIFO admission phase followed by the woken settlers (see
+        :meth:`add_settler` for the wake contract and the next-pass
+        rule).  Settling may spawn new same-time events, which start
+        another wave; time advances as soon as a pass leaves nothing
+        woken, nothing to admit and no event at the current time.
 
         With ``until_ns`` the loop stops *before* any event scheduled
         later than the horizon and parks the clock exactly there —
@@ -217,10 +251,13 @@ class EventLoop:
         check_wakeups = sanitize.active()
         heap = self._heap
         pop = heapq.heappop
+        push = heapq.heappush
         settlers = self._settlers
         woken = self._woken
         due = self._due
         next_pass = self._next_pass
+        arrivals = self._arrivals
+        admit = settlers[0]
         processed = self.processed
         self.running = True
         try:
@@ -233,43 +270,35 @@ class EventLoop:
                     break
                 self.now_ns = now_ns
                 while True:
-                    while heap:
-                        head_ns, _tie, _seq, event = heap[0]
-                        # Bit-exact equality IS the loop's definition of
-                        # simultaneity: the (time, tie, seq) heap order uses
-                        # the same comparison, so the wave groups exactly
-                        # the events the tie-break could permute.
-                        if head_ns != now_ns:
-                            break
-                        pop(heap)
-                        if event.cancelled:
+                    # Bit-exact equality IS the loop's definition of
+                    # simultaneity: the (time, tie, seq) heap order uses
+                    # the same comparison, so the wave groups exactly the
+                    # events the tie-break could permute.
+                    while heap and heap[0][0] == now_ns:
+                        event = pop(heap)[3]
+                        if not event.cancelled:
+                            processed += 1
+                            event()
+                    if arrivals:
+                        admit()
+                    if due:
+                        while due:
+                            index = pop(due)
+                            self._settle_pos = index
+                            woken[index] = False
+                            settlers[index]()
+                        self._settle_pos = -1
+                        if next_pass:
+                            for index in next_pass:
+                                push(due, index)
+                            next_pass.clear()
+                        if due or arrivals:
                             continue
-                        processed += 1
-                        event.callback()
-                    if not settlers:
-                        break
-                    settled = False
-                    while due:
-                        index = pop(due)
-                        self._settle_pos = index
-                        woken[index] = False
-                        if settlers[index]():
-                            settled = True
-                    self._settle_pos = -1
-                    if next_pass:
-                        for index in next_pass:
-                            heapq.heappush(due, index)
-                        next_pass.clear()
-                    if settled:
+                    if heap and heap[0][0] == now_ns:
                         continue
-                    while heap and heap[0][3].cancelled:
-                        pop(heap)
-                    head_ns = heap[0][0] if heap else math.inf
-                    # Same bit-exact simultaneity check as the wave above.
-                    if head_ns != now_ns:
-                        if check_wakeups:
-                            self._check_lost_wakeups()
-                        break
+                    if check_wakeups:
+                        self._check_lost_wakeups()
+                    break
         finally:
             self.running = False
             self.processed = processed
@@ -289,36 +318,81 @@ class EventLoop:
                 )
 
 
+def _admission(loop: EventLoop) -> Callable[[], bool]:
+    """The loop's admission settler: admit every buffered FIFO arrival.
+
+    A stable sort on the key alone keeps each FIFO's arrivals in key
+    order, equal keys in arrival order; FIFOs do not interact.  Each job
+    starts on its FIFO's earliest-free server (the Lindley step) and its
+    completion goes straight onto the event heap.
+    """
+    arrivals = loop._arrivals
+    heap = loop._heap
+    seq = loop._seq
+    tiebreak = loop._tiebreak
+    push = heapq.heappush
+    take_server = heapq.heapreplace
+
+    def admit() -> bool:
+        if not arrivals:
+            return False
+        if len(arrivals) > 1:
+            arrivals.sort(key=_arrival_key)
+        now_ns = loop.now_ns
+        for _key, fifo, service_ns, done in arrivals:
+            # Lindley: start on the earliest-free server.
+            free = fifo._free
+            start_ns = free[0]
+            if start_ns < now_ns:
+                start_ns = now_ns
+            end_ns = start_ns + service_ns
+            take_server(free, end_ns)
+            fifo.busy_ns += service_ns
+            fifo.served += 1
+            push(
+                heap,
+                (
+                    end_ns,
+                    tiebreak.random() if tiebreak is not None else 0.0,
+                    next(seq),
+                    ScheduledEvent(done, end_ns),
+                ),
+            )
+        arrivals.clear()
+        return True
+
+    return admit
+
+
 class FifoResource:
     """``servers`` identical servers with one FIFO queue (M/G/c style).
 
-    Jobs are served in arrival order; a job begins the moment a server
-    is idle and runs for its ``service_ns`` without preemption.  The
-    completion callback receives the completion timestamp.  ``busy_ns``
-    accumulates total service time — the same quantity the resource
-    ledger calls "busy" — so utilization and bottleneck checks read
-    straight off the resource.
+    Jobs are served in admission order; a job begins the moment a
+    server is free and runs for its ``service_ns`` without preemption.
+    The completion callback receives the completion timestamp.  The
+    resource keeps each server's next free time instead of a queue:
+    admission computes the job's start by the Lindley recursion and
+    puts its completion on the event heap at once (see the module
+    docstring).  ``busy_ns`` is the total service *admitted* — the
+    demand replayed onto the resource, the quantity the resource ledger
+    calls "busy" — so utilization and bottleneck checks read straight
+    off the resource; ``served`` counts admitted jobs.  A run cut at a
+    horizon (``run(until_ns)``) counts the whole service of every job
+    admitted by then, queued or in service, so ``busy_ns / (servers *
+    elapsed)`` can exceed 1 on an overloaded run.
 
     While the loop is running, ``acquire`` does not admit immediately:
-    arrivals are buffered and the settle phase admits the buffer in
-    ``(key, arrival)`` order.  Same-timestamp contenders therefore
-    resolve by key, not by which event the tie-break ran first, so a
-    wave acquire without a ``key`` is a ``ValueError``.  Outside
-    ``run`` (seeding the loop before it starts) acquire admits
-    synchronously in call order and ``key`` is optional.
+    it buffers the arrival, and the next admission phase of the loop
+    admits the buffer in ``(key, arrival)`` order — an acquire made
+    during a settle pass is admitted at the start of the next pass.
+    Same-timestamp contenders therefore resolve by key, not by which
+    event the tie-break ran first, so a wave acquire without a ``key``
+    is a ``ValueError``.  Outside ``run`` (seeding the loop before it
+    starts) acquire admits synchronously in call order and ``key`` is
+    optional.
     """
 
-    __slots__ = (
-        "loop",
-        "servers",
-        "name",
-        "_idle",
-        "_queue",
-        "_pending",
-        "busy_ns",
-        "served",
-        "_wake",
-    )
+    __slots__ = ("loop", "servers", "name", "_free", "busy_ns", "served")
 
     def __init__(self, loop: EventLoop, servers: int = 1, *, name: str = "") -> None:
         if servers <= 0:
@@ -326,21 +400,11 @@ class FifoResource:
         self.loop = loop
         self.servers = servers
         self.name = name
-        self._idle = servers
-        self._queue: deque[tuple[float, Callable[[float], None]]] = deque()
-        #: Wave arrivals awaiting settle, in arrival order: (key, service, done).
-        self._pending: list[tuple[int, float, Callable[[float], None]]] = []
+        #: When each server next falls free, a min-heap; a time at or
+        #: before ``now`` means the server is idle.
+        self._free = [0.0] * servers
         self.busy_ns = 0.0
         self.served = 0
-        self._wake = loop.add_settler(self._settle)
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    @property
-    def in_service(self) -> int:
-        return self.servers - self._idle
 
     def acquire(
         self,
@@ -358,9 +422,10 @@ class FifoResource:
         while the loop is running.
         """
         # One chained compare rejects negatives, +inf and NaN alike.
-        if not 0.0 <= service_ns < math.inf:
+        if not 0.0 <= service_ns < _INF:
             raise ValueError(f"invalid service time {service_ns!r}")
-        if self.loop.running:
+        loop = self.loop
+        if loop.running:
             if key is None:
                 label = self.name or f"fifo:{self.servers}"
                 raise ValueError(
@@ -368,43 +433,16 @@ class FifoResource:
                     "same-timestamp arrivals would be admitted in tie-break order; "
                     "pass a stable key"
                 )
-            self._pending.append((key, service_ns, done))
-            self._wake()
+            loop._arrivals.append((key, self, service_ns, done))
             return
-        self._admit(service_ns, done)
-
-    def _admit(self, service_ns: float, done: Callable[[float], None]) -> None:
-        if self._idle:
-            self._start(service_ns, done)
-        else:
-            self._queue.append((service_ns, done))
-
-    def _settle(self) -> bool:
-        """Admit buffered wave arrivals in stable-key order."""
-        batch = self._pending
-        if not batch:
-            return False
-        self._pending = []
-        if len(batch) > 1:
-            # Stable sort: equal keys keep arrival order.
-            batch.sort(key=lambda entry: entry[0])
-        for _key, service_ns, done in batch:
-            self._admit(service_ns, done)
-        return True
-
-    def _start(self, service_ns: float, done: Callable[[float], None]) -> None:
-        self._idle -= 1
+        # Before the run: admit at once, in call order, by the same
+        # Lindley step as the loop's admission phase.
+        free = self._free
+        end_ns = max(free[0], loop.now_ns) + service_ns
+        heapq.heapreplace(free, end_ns)
         self.busy_ns += service_ns
         self.served += 1
-        loop = self.loop
-        loop.schedule_at(loop.now_ns + service_ns, lambda: self._finish(done))
-
-    def _finish(self, done: Callable[[float], None]) -> None:
-        self._idle += 1
-        if self._queue:
-            next_service, next_done = self._queue.popleft()
-            self._start(next_service, next_done)
-        done(self.loop.now_ns)
+        loop.schedule_at(end_ns, functools.partial(done, end_ns))
 
 
 __all__ = ["EventLoop", "FifoResource", "ScheduledEvent"]

@@ -60,9 +60,6 @@ class TenantQueue:
         self.fetched = 0
         self._backlog = backlog if backlog is not None else _Backlog()
 
-    def __len__(self) -> int:
-        return len(self.ring)
-
     @property
     def full(self) -> bool:
         return len(self.ring) >= self.capacity
@@ -99,7 +96,7 @@ class RoundRobinArbiter(Arbiter):
         count = len(queues)
         for step in range(count):
             index = (self._next + step) % count
-            if len(queues[index]):
+            if queues[index].ring:
                 self._next = (index + 1) % count
                 return index
         return None
@@ -120,20 +117,25 @@ class WeightedRoundRobinArbiter(Arbiter):
 
     def select(self, queues: list[TenantQueue]) -> int | None:
         count = len(queues)
-        if len(self._credits) != count:
-            self._credits = [queue.weight for queue in queues]
+        credits = self._credits
+        if len(credits) != count:
+            credits = self._credits = [queue.weight for queue in queues]
         for _ in range(2):  # second pass runs after a credit reload
+            busy = False
             for step in range(count):
                 index = (self._next + step) % count
-                if len(queues[index]) and self._credits[index] > 0:
-                    self._credits[index] -= 1
-                    # Stay on this queue while it has credits: WRR
-                    # serves bursts of `weight` from each queue.
-                    self._next = index if self._credits[index] > 0 else (index + 1) % count
-                    return index
-            if not any(len(queue) for queue in queues):
+                if queues[index].ring:
+                    if credits[index] > 0:
+                        credits[index] -= 1
+                        # Stay on this queue while it has credits: WRR
+                        # serves bursts of `weight` from each queue.
+                        self._next = index if credits[index] > 0 else (index + 1) % count
+                        return index
+                    busy = True
+            if not busy:
                 return None
-            self._credits = [queue.weight for queue in queues]
+            for index, queue in enumerate(queues):
+                credits[index] = queue.weight
         return None  # pragma: no cover - reload always finds a queue
 
 

@@ -370,11 +370,17 @@ class StorageNode:
         self.stages.submit(demand, lambda end_ns: self._complete(entry, end_ns))
 
     def _complete(self, entry: Any, end_ns: float) -> None:
-        """The entry left the stage pipeline: report it, free its slot."""
+        """The entry left the stage pipeline: report it, free its slot.
+
+        The freed slot matters only to a queued entry: with every ring
+        empty the pump would fetch nothing, so it is not woken.  A later
+        ring push (``_drain``) and the end of a stall pump on their own.
+        """
         self.completed += 1
         self._on_complete(entry, end_ns)
         self.inflight -= 1
-        self._pump()
+        if self.mq.pending:
+            self._pump()
 
 
 class Submission:

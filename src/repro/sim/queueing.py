@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from repro.serve.engine import EventLoop, FifoResource
@@ -78,11 +79,12 @@ class StagePipeline:
             FifoResource(loop, name=f"{prefix}channel:{index}") for index in range(channels)
         ]
         self.pcie = FifoResource(loop, name=f"{prefix}pcie")
+        self._width = channels
         self._keys = itertools.count()
 
     def submit(self, demand: RequestDemand, done: Callable[[float], None]) -> None:
         """Replay ``demand`` stage by stage; ``done(end_ns)`` after PCIe."""
-        channel = self.channels[demand.channel % len(self.channels)]
+        channel = self.channels[demand.channel % self._width]
         pcie = self.pcie
         key = next(self._keys)
 
@@ -118,25 +120,29 @@ class PipelineSimulator:
         stages = StagePipeline(loop, host_servers=self.host_servers, channels=self.channels)
 
         count = len(demands)
-        state = {"next": 0, "total_latency": 0.0, "finish": 0.0}
+        next_index = 0
+        total_latency = 0.0
+        finish_ns = 0.0
         #: Indexed by request so callers can zip against ``demands``
         #: even though completions happen out of admission order.
         latencies: list[float] = [0.0] * count if keep_latencies else []
 
         def admit() -> None:
-            index = state["next"]
+            nonlocal next_index
+            index = next_index
             if index >= count:
                 return
-            state["next"] = index + 1
+            next_index = index + 1
             admit_ns = loop.now_ns
 
             def done(end_ns: float) -> None:
+                nonlocal total_latency, finish_ns
                 latency = end_ns - admit_ns
-                state["total_latency"] += latency
+                total_latency += latency
                 if keep_latencies:
                     latencies[index] = latency
-                if end_ns > state["finish"]:
-                    state["finish"] = end_ns
+                if end_ns > finish_ns:
+                    finish_ns = end_ns
                 admit()  # completion frees one closed-loop slot
 
             # Requests are submitted in index order, so the pipeline's
@@ -153,11 +159,11 @@ class PipelineSimulator:
         return QueueingResult(
             requests=count,
             queue_depth=queue_depth,
-            total_ns=state["finish"],
-            mean_latency_ns=state["total_latency"] / count if count else 0.0,
-            host_busy_ns=sum(demand.host_ns for demand in demands),
-            nand_busy_ns=sum(demand.nand_ns for demand in demands),
-            pcie_busy_ns=sum(demand.pcie_ns for demand in demands),
+            total_ns=finish_ns,
+            mean_latency_ns=total_latency / count if count else 0.0,
+            host_busy_ns=sum(map(attrgetter("host_ns"), demands)),
+            nand_busy_ns=sum(map(attrgetter("nand_ns"), demands)),
+            pcie_busy_ns=sum(map(attrgetter("pcie_ns"), demands)),
             latencies_ns=latencies,
         )
 

@@ -1,7 +1,9 @@
 """Tests for the virtual-time event loop and FIFO resources."""
 
+import functools
 import heapq
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -116,9 +118,8 @@ def test_fifo_resource_serves_in_arrival_order():
     resource.acquire(10.0, lambda end: ends.append(("a", end)))
     resource.acquire(5.0, lambda end: ends.append(("b", end)))
     resource.acquire(1.0, lambda end: ends.append(("c", end)))
-    assert resource.in_service == 1
-    assert resource.queued == 2
     loop.run()
+    # Each job starts when the one before it ends: b waits for a, c for b.
     assert ends == [("a", 10.0), ("b", 15.0), ("c", 16.0)]
     assert resource.busy_ns == 16.0
     assert resource.served == 3
@@ -134,6 +135,46 @@ def test_fifo_resource_runs_servers_in_parallel():
     loop.run()
     # Two start at t=0; the third waits for the first free server.
     assert ends == [10.0, 10.0, 20.0]
+
+
+def test_busy_ns_counts_every_job_admitted_before_a_horizon():
+    loop = EventLoop()
+    resource = FifoResource(loop, 1)
+    for key in range(3):
+        loop.schedule(0.0, lambda key=key: resource.acquire(10.0, lambda end: None, key=key))
+    loop.run(until_ns=15.0)
+    # One job done, one in service, one queued: all three count, so the
+    # utilization over the 15 ns window reads 2, not 1.
+    assert (resource.busy_ns, resource.served) == (30.0, 3)
+    assert resource.busy_ns / (resource.servers * loop.now_ns) == 2.0
+
+
+def test_admission_runs_as_settler_zero_once_per_pass_with_arrivals(monkeypatch):
+    registered = []
+    calls = []
+    original = EventLoop.add_settler
+
+    def counting_add_settler(loop, settler):
+        registered.append(settler)
+
+        def counted():
+            did_work = settler()
+            if did_work:  # the sanitizer also polls it, finding nothing
+                calls.append(loop.now_ns)
+            return did_work
+
+        return original(loop, counted)
+
+    # A profiler that wraps ``add_settler`` sees the admission too.
+    monkeypatch.setattr(EventLoop, "add_settler", counting_add_settler)
+    loop = EventLoop()
+    resource = FifoResource(loop, 1)
+    assert len(registered) == 1
+    for key, delay in enumerate((0.0, 0.0, 5.0)):
+        loop.schedule(delay, lambda key=key: resource.acquire(1.0, lambda end: None, key=key))
+    loop.run()
+    # One admitting call per pass with arrivals: t=0 (two keys) and t=5.
+    assert calls == [0.0, 5.0]
 
 
 def test_fifo_resource_rejects_bad_service_times():
@@ -153,6 +194,166 @@ def test_zero_service_completes_at_current_time():
     resource.acquire(0.0, lambda end: ends.append(end))
     loop.run()
     assert ends == [0.0]
+
+
+# --- FIFO admission against the event-driven reference -----------------
+
+
+class _EventDrivenFifo:
+    """Reference FIFO: a queue, a start and a finish event per job.
+
+    The admission path the loop's Lindley phase replaced: one settler
+    per FIFO admits buffered arrivals in key order, a job starts when a
+    server is idle and its finish event starts the next queued job.
+    """
+
+    def __init__(self, loop, servers=1, *, name=""):
+        self.loop = loop
+        self.servers = servers
+        self.name = name
+        self._idle = servers
+        self._queue = deque()
+        self._pending = []
+        self.busy_ns = 0.0
+        self.served = 0
+        self._wake = loop.add_settler(self._settle)
+
+    def acquire(self, service_ns, done, *, key=None):
+        if self.loop.running:
+            self._pending.append((key, service_ns, done))
+            self._wake()
+        else:
+            self._admit(service_ns, done)
+
+    def _admit(self, service_ns, done):
+        if self._idle:
+            self._start(service_ns, done)
+        else:
+            self._queue.append((service_ns, done))
+
+    def _settle(self):
+        batch, self._pending = self._pending, []
+        batch.sort(key=lambda entry: entry[0])
+        for _key, service_ns, done in batch:
+            self._admit(service_ns, done)
+        return bool(batch)
+
+    def _start(self, service_ns, done):
+        self._idle -= 1
+        self.busy_ns += service_ns
+        self.served += 1
+        self.loop.schedule(service_ns, lambda: self._finish(done))
+
+    def _finish(self, done):
+        self._idle += 1
+        if self._queue:
+            self._start(*self._queue.popleft())
+        done(self.loop.now_ns)
+
+
+#: One job: arrival time, service, source, key draw, and an optional
+#: follow-up job (its service) that its completion acquires at once,
+#: like a stage hop.
+_jobs = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1.0, 2.5, 4.0]),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 5.0),
+        st.sampled_from(["event", "settler"]),
+        st.integers(0, 20),
+        st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _replay_fifo(make_fifo, servers, jobs, seed_jobs):
+    """Run ``jobs`` through a FIFO from ``make_fifo``; its completions.
+
+    Every job and follow-up has a distinct key fixed before the run, so
+    admission order never depends on which same-time event ran first.
+    The first ``seed_jobs`` jobs are acquired before the loop runs
+    (unkeyed, in call order).  A ``"settler"`` job is acquired during a
+    settle pass by a settler registered after the FIFO, an ``"event"``
+    job by an event, during the wave.
+    """
+    loop = EventLoop()
+    fifo = make_fifo(loop, servers, name="oracle")
+    completions = []
+    handed = []
+
+    def job(key, follow_up=None):
+        def done(end_ns):
+            completions.append((key, end_ns))
+            if follow_up is not None:
+                fifo.acquire(follow_up, job(key + 1000), key=key + 1000)
+
+        return done
+
+    def settler():
+        batch = handed[:]
+        handed.clear()
+        for service_ns, done, key in batch:
+            fifo.acquire(service_ns, done, key=key)
+        return bool(batch)
+
+    wake = loop.add_settler(settler)
+
+    def hand_to_settler(entry):
+        handed.append(entry)
+        wake()
+
+    for position, (arrival_ns, service_ns, source, draw, follow_up) in enumerate(jobs):
+        key = draw * 16 + position  # distinct, in random order
+        done = job(key, follow_up)
+        if position < seed_jobs:
+            fifo.acquire(service_ns, done)
+            continue
+        if source == "event":
+            event = functools.partial(fifo.acquire, service_ns, done, key=key)
+        else:
+            event = functools.partial(hand_to_settler, (service_ns, done, key))
+        loop.schedule_at(arrival_ns, event)
+    loop.run()
+    return sorted(completions), fifo.busy_ns, fifo.served
+
+
+@settings(max_examples=300, deadline=None)
+@given(servers=st.integers(1, 4), jobs=_jobs, seed_jobs=st.integers(0, 2))
+def test_fifo_admission_matches_the_event_driven_reference(servers, jobs, seed_jobs):
+    expected = _replay_fifo(_EventDrivenFifo, servers, jobs, seed_jobs)
+    assert _replay_fifo(FifoResource, servers, jobs, seed_jobs) == expected
+
+
+def test_settle_pass_acquire_is_admitted_at_the_next_pass():
+    """A settler's acquire waits for the next pass's admission phase.
+
+    The wave's arrival (key 5) is admitted at the start of the first
+    pass, before the settler that acquires with key 1 runs, so it is
+    served first despite the larger key, whatever the registration
+    order of settler and FIFO.
+    """
+    loop = EventLoop()
+    ends = {}
+    handed = []
+
+    def settler():
+        if not handed:
+            return False
+        fifo.acquire(handed.pop(), lambda end: ends.setdefault("settler", end), key=1)
+        return True
+
+    wake = loop.add_settler(settler)
+    fifo = FifoResource(loop, 1, name="x")
+
+    def arrive():
+        fifo.acquire(10.0, lambda end: ends.setdefault("wave", end), key=5)
+        handed.append(1.0)
+        wake()
+
+    loop.schedule(0.0, arrive)
+    loop.run()
+    assert ends == {"wave": 10.0, "settler": 11.0}
 
 
 # --- wake-driven settlers ---------------------------------------------

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.nvme_mq import (
     MultiQueueNvme,
@@ -57,7 +59,7 @@ def test_tenant_queue_wraps_past_its_depth():
     for value in range(10):
         queue.push(value)
         assert queue.pop() == value
-    assert len(queue) == 0
+    assert len(queue.ring) == 0
     for value in range(3):  # still holds depth-1 after wrapping
         queue.push(value)
     assert queue.full
@@ -185,11 +187,11 @@ def test_pending_tracks_ring_lengths_through_a_seeded_sequence(arbitration):
         elif roll < 0.55 and not queue.full:
             # The server pushes to its tenant ring directly.
             queue.push(step)
-        elif roll < 0.7 and len(queue):
+        elif roll < 0.7 and queue.ring:
             queue.pop()
         else:
             mq.fetch()
-        assert mq.pending == sum(len(ring) for ring in queues)
+        assert mq.pending == sum(len(queue.ring) for queue in queues)
 
 
 def test_idle_fetch_leaves_wrr_credits_untouched():
@@ -209,3 +211,85 @@ def test_idle_fetch_leaves_wrr_credits_untouched():
     mq.submit("heavy", 3)
     mq.submit("light", 4)
     assert _drain(mq) == ["heavy", "light"]
+
+
+# --- reference arbiters --------------------------------------------------
+
+
+class _ScanningRoundRobin:
+    """Reference RR: tests each ring's length, as the arbiter once did."""
+
+    def __init__(self):
+        self._next = 0
+
+    def select(self, queues):
+        count = len(queues)
+        for step in range(count):
+            index = (self._next + step) % count
+            if len(queues[index].ring):
+                self._next = (index + 1) % count
+                return index
+        return None
+
+
+class _ScanningWeightedRoundRobin:
+    """Reference WRR: an ``any(len(...))`` scan and a rebuilt credit list."""
+
+    def __init__(self):
+        self._credits = []
+        self._next = 0
+
+    def select(self, queues):
+        count = len(queues)
+        if len(self._credits) != count:
+            self._credits = [queue.weight for queue in queues]
+        for _ in range(2):
+            for step in range(count):
+                index = (self._next + step) % count
+                if len(queues[index].ring) and self._credits[index] > 0:
+                    self._credits[index] -= 1
+                    self._next = index if self._credits[index] > 0 else (index + 1) % count
+                    return index
+            if not any(len(queue.ring) for queue in queues):
+                return None
+            self._credits = [queue.weight for queue in queues]
+        return None
+
+
+#: A script step: push one entry onto ring ``n`` (``("push", n)``) or
+#: let the arbiter select and pop (``("select", 0)``).
+_steps = st.lists(
+    st.tuples(st.sampled_from(["push", "push", "select"]), st.integers(0, 3)), max_size=80
+)
+
+
+@pytest.mark.parametrize(
+    ("arbiter", "reference"),
+    [
+        (RoundRobinArbiter, _ScanningRoundRobin),
+        (WeightedRoundRobinArbiter, _ScanningWeightedRoundRobin),
+    ],
+)
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.integers(1, 4), min_size=1, max_size=4), script=_steps)
+def test_arbiter_order_matches_the_scanning_reference(arbiter, reference, weights, script):
+    """Same picks as the length-scanning arbiters, on random push/pop scripts."""
+
+    def replay(chooser):
+        queues = [TenantQueue(f"t{index}", weight=w) for index, w in enumerate(weights)]
+        picks = []
+        for action, ring in script:
+            if action == "push":
+                queues[ring % len(queues)].push(len(picks))
+                continue
+            index = chooser.select(queues)
+            picks.append(index)
+            if index is not None:
+                queues[index].pop()
+        # Drain what is left, so every credit reload is reached.
+        while (index := chooser.select(queues)) is not None:
+            picks.append(index)
+            queues[index].pop()
+        return picks
+
+    assert replay(arbiter()) == replay(reference())
