@@ -1,13 +1,15 @@
-"""Golden-digest regression: pcie_gen3 is byte-identical to the seed.
+"""Golden-digest regression: every system on every fabric is pinned.
 
-``tests/data/golden_digests.json`` was captured from the pre-refactor
-code (before the interconnect/placement backends existed).  Every
-registered system run on the default ``pcie_gen3`` backend must still
-hash to exactly those digests: any bit of drift in stage recording,
-timing arithmetic, placement decisions or iteration order fails here.
+``tests/data/golden_digests.json`` holds, under ``digests``, the
+digest of every registered system on the default ``pcie_gen3``
+backend, captured from the pre-refactor code (before the
+interconnect/placement backends existed), and under ``backends`` the
+same for ``cxl_lmb`` and ``nvme_fdp``.  Any bit of drift in stage
+recording, timing arithmetic, placement decisions or iteration order
+fails here.
 
-The new backends are *expected* to diverge from the golden digests —
-but each must still be deterministic (same config => same digest).
+Regenerate (only for an intended behaviour change) with
+``PYTHONPATH=src python -m tests.integration.test_golden_digest``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.digest import digest_config, system_digest
+from repro.analysis.digest import all_digests, digest_config, system_digest
 from repro.system import available_systems
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / "golden_digests.json"
@@ -39,13 +41,26 @@ def test_pcie_gen3_matches_pre_refactor_seed(name):
     )
 
 
-@pytest.mark.parametrize("backend", ["cxl_lmb", "nvme_fdp"])
-@pytest.mark.parametrize("name", ["pipette", "2b-ssd-mmio", "2b-ssd-dma"])
+#: The alternative fabrics pinned under ``backends``.
+PINNED_BACKENDS = ("cxl_lmb", "nvme_fdp")
+
+
+def test_backend_pins_cover_every_registered_system():
+    assert sorted(GOLDEN["backends"]) == sorted(PINNED_BACKENDS)
+    for backend in PINNED_BACKENDS:
+        assert sorted(GOLDEN["backends"][backend]) == sorted(available_systems())
+
+
+@pytest.mark.parametrize("backend", PINNED_BACKENDS)
+@pytest.mark.parametrize("name", sorted(GOLDEN["digests"]))
 def test_new_backends_are_deterministic(backend, name):
-    config = digest_config(backend=backend)
-    first = system_digest(name, config, seed=GOLDEN["seed"])
-    second = system_digest(name, config, seed=GOLDEN["seed"])
-    assert first == second
+    """Each alternative fabric reproduces the digest pinned for it:
+    the same config gives the same digest across runs and versions."""
+    digest = system_digest(name, digest_config(backend=backend), seed=GOLDEN["seed"])
+    assert digest == GOLDEN["backends"][backend][name], (
+        f"{name} on {backend} diverged from its pinned digest: a change "
+        "moved this fabric's costs or placement accounting"
+    )
 
 
 def test_cxl_lmb_diverges_from_pcie_gen3():
@@ -69,3 +84,19 @@ def test_nvme_fdp_is_transport_identical_but_reports_placement():
     fdp_keys = [key for key in fdp["cache_stats"] if key.startswith("fdp_")]
     assert fdp_keys, "nvme_fdp backend should report per-handle placement stats"
     assert not any(key.startswith("fdp_") for key in pcie["cache_stats"])
+
+
+def _regenerate() -> dict[str, object]:
+    seed = GOLDEN["seed"]
+    return {
+        "backends": {
+            backend: all_digests(digest_config(backend=backend), seed=seed)
+            for backend in PINNED_BACKENDS
+        },
+        "digests": all_digests(digest_config(), seed=seed),
+        "seed": seed,
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(_regenerate(), indent=2, sort_keys=True))
