@@ -10,7 +10,7 @@ import pytest
 
 from repro.serve.qos import TenantQoS
 from repro.serve.server import ServeConfig, TenantSpec, serve
-from repro.ssd.backends import available_backends
+from repro.ssd.fabric import available_backends
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 
 from benchmarks.conftest import BACKEND_MATRIX_QPS

@@ -9,10 +9,10 @@ behaviourally indistinguishable for that system; any change to stage
 recording, timing arithmetic, placement decisions, or iteration order
 shows up as a different hash.
 
-This is the safety net behind the interconnect-backend refactor: the
-``pcie_gen3`` backend must reproduce the pre-refactor digests byte for
-byte (``tests/integration/test_golden_digest.py`` pins them), while
-the ``cxl_lmb`` and ``nvme_fdp`` backends are *expected* to diverge.
+This is the safety net behind model refactors: every system's digest
+on each fabric (:mod:`repro.ssd.fabric`) is pinned in
+``tests/integration/test_golden_digest.py``, the ``pcie_gen3`` ones
+since before the fabrics existed.
 
 Floats are serialized with ``repr`` (shortest round-trip form), so the
 digest is sensitive to any bit-level drift, not just formatting-sized

@@ -34,29 +34,25 @@ class SSDSpec:
     """Hardware specification of the simulated SSD.
 
     Defaults mirror the paper's Figure 5 (YS9203 development platform):
-    PCIe Gen3 x4 host interface, NVMe 1.2, 8 channels x 8 ways, 2 cores,
-    64 MiB HMB mapping region, up to 4 GiB DRAM and 477 GB module
-    capacity.  ``capacity_bytes`` may be reduced for scaled simulations;
-    the geometry checks only require it to be page aligned.
+    8 channels, a 64 MiB HMB mapping region and 477 GB module capacity;
+    the rows no simulation reads (host interface, protocol, ways, cores,
+    DRAM size) are :mod:`repro.experiments.fig5` constants.
+    ``capacity_bytes`` may be reduced for scaled simulations; the
+    geometry checks only require it to be page aligned.
     """
 
-    host_interface: str = "PCIe Gen3 x4"
-    protocol: str = "NVMe 1.2"
     channels: int = 8
-    ways: int = 8
-    cores: int = 2
     nand_type: NandType = NandType.MLC
     page_size: int = 4096
     pages_per_block: int = 256
     mapping_region_bytes: int = 64 * MIB
-    max_ddr_bytes: int = 4 * GIB
     capacity_bytes: int = 477_000_000_000
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.page_size % 512:
             raise ValueError(f"page_size must be a positive multiple of 512, got {self.page_size}")
-        if self.channels <= 0 or self.ways <= 0:
-            raise ValueError("channels and ways must be positive")
+        if self.channels <= 0:
+            raise ValueError("channels must be positive")
         if self.capacity_bytes < self.page_size:
             raise ValueError("capacity smaller than one page")
 
@@ -86,51 +82,6 @@ DEFAULT_NAND_PROGRAM_NS: Mapping[NandType, int] = {
 }
 
 
-#: Effective payload bandwidth of one PCIe lane by generation, in
-#: bytes/ns (= GB/s): raw signalling rate (2.5/5/8/16/32 GT/s) minus
-#: 8b/10b (Gen1/2) or 128b/130b (Gen3+) encoding and ~20% TLP/DLLP
-#: protocol overhead.  Gen3 x4 therefore lands at the 3.2 GB/s the
-#: paper's platform sustains.
-PCIE_LANE_BW_BYTES_PER_NS: Mapping[int, float] = {
-    1: 0.2,
-    2: 0.4,
-    3: 0.8,
-    4: 1.6,
-    5: 3.2,
-}
-
-
-@dataclass(frozen=True)
-class PcieLinkSpec:
-    """Physical PCIe link geometry: generation and lane count.
-
-    The effective payload bandwidth is *derived* from these fields
-    (``bw_bytes_per_ns``) instead of being hardwired, so a Gen4 x2 or
-    Gen5 x4 link is one config change.  The default (Gen3 x4) is
-    numerically identical to the historical 3.2 bytes/ns constant.
-    """
-
-    gen: int = 3
-    lanes: int = 4
-
-    def __post_init__(self) -> None:
-        if self.gen not in PCIE_LANE_BW_BYTES_PER_NS:
-            raise ValueError(
-                f"unknown PCIe generation {self.gen}; "
-                f"known: {sorted(PCIE_LANE_BW_BYTES_PER_NS)}"
-            )
-        if self.lanes <= 0:
-            raise ValueError(f"lane count must be positive, got {self.lanes}")
-
-    @property
-    def bw_bytes_per_ns(self) -> float:
-        """Effective payload bandwidth of the whole link."""
-        return PCIE_LANE_BW_BYTES_PER_NS[self.gen] * self.lanes
-
-    def __str__(self) -> str:
-        return f"PCIe Gen{self.gen} x{self.lanes}"
-
-
 @dataclass(frozen=True)
 class TimingModel:
     """All latency constants, in nanoseconds (bandwidths in bytes/ns).
@@ -158,12 +109,10 @@ class TimingModel:
     #: Flash channel transfer time for one full page (ONFI-style bus).
     channel_xfer_page_ns: int = 10 * US
 
-    # --- PCIe link geometry (bandwidth derived from gen x lanes) ---
-    pcie: PcieLinkSpec = field(default_factory=PcieLinkSpec)
-    #: Effective payload bandwidth in bytes/ns.  ``None`` (the default)
-    #: derives it from ``pcie.gen`` x ``pcie.lanes``; an explicit float
-    #: overrides the derivation (calibration escape hatch).
-    pcie_bw_bytes_per_ns: float | None = None
+    # --- PCIe link ---
+    #: Effective payload bandwidth in bytes/ns (= GB/s): Gen3 x4, 8 GT/s
+    #: per lane less 128b/130b encoding and ~20% TLP/DLLP overhead.
+    pcie_bw_bytes_per_ns: float = 3.2
     #: Fixed cost per DMA descriptor / TLP batch on the link.
     pcie_tlp_ns: int = 300
     #: MMIO non-posted read transaction: max payload per transaction.
@@ -208,10 +157,6 @@ class TimingModel:
     block_page_penalty_ns: int = 40 * US
 
     def __post_init__(self) -> None:
-        if self.pcie_bw_bytes_per_ns is None:
-            object.__setattr__(
-                self, "pcie_bw_bytes_per_ns", self.pcie.bw_bytes_per_ns
-            )
         if self.pcie_bw_bytes_per_ns <= 0:
             raise ValueError(
                 f"PCIe bandwidth must be positive, got {self.pcie_bw_bytes_per_ns}"
@@ -238,19 +183,6 @@ class TimingModel:
     def nand_program(self, nand: NandType) -> int:
         """Page program latency for the given cell type, in ns."""
         return self.nand_program_ns[nand]
-
-    def pcie_transfer_ns(self, nbytes: int) -> float:
-        """DMA payload transfer time over the link for ``nbytes``."""
-        if nbytes <= 0:
-            return 0.0
-        return self.pcie_tlp_ns + nbytes / self.pcie_bw_bytes_per_ns
-
-    def mmio_read_ns(self, nbytes: int) -> float:
-        """MMIO read cost: split into non-posted <=8-byte transactions."""
-        if nbytes <= 0:
-            return 0.0
-        transactions = -(-nbytes // self.mmio_payload_bytes)
-        return transactions * self.mmio_tlp_ns
 
     def dram_copy_ns(self, nbytes: int) -> float:
         """Host DRAM copy cost for ``nbytes``."""
@@ -382,8 +314,8 @@ class SimConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     pipette: PipetteConfig = field(default_factory=PipetteConfig)
     readahead: ReadaheadConfig = field(default_factory=ReadaheadConfig)
-    #: Interconnect/placement backend the device is built on; see
-    #: :mod:`repro.ssd.backends` (``pcie_gen3`` | ``cxl_lmb`` |
+    #: Host/device fabric the device is built on; see
+    #: :mod:`repro.ssd.fabric` (``pcie_gen3`` | ``cxl_lmb`` |
     #: ``nvme_fdp``).  Validated when the device is constructed.
     backend: str = "pcie_gen3"
     #: Transient NAND read-fault injection (disabled by default).
@@ -412,8 +344,6 @@ __all__ = [
     "MIB",
     "MS",
     "NandType",
-    "PCIE_LANE_BW_BYTES_PER_NS",
-    "PcieLinkSpec",
     "PipetteConfig",
     "ReadaheadConfig",
     "SSDSpec",

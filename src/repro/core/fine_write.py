@@ -41,9 +41,15 @@ class PendingWrite:
     length: int
 
 
+def _part(entry: PendingWrite, start: int, stop: int) -> PendingWrite:
+    """The bytes ``[start, stop)`` of a pending write."""
+    data = None if entry.data is None else entry.data[start - entry.offset : stop - entry.offset]
+    return PendingWrite(offset=start, data=data, length=stop - start)
+
+
 @dataclass
 class WriteCombiningBuffer:
-    """Per-file ordered map of pending small writes."""
+    """Per-file map of pending small writes: disjoint, sorted by offset."""
 
     capacity_bytes: int
     used_bytes: int = 0
@@ -52,22 +58,30 @@ class WriteCombiningBuffer:
     flushes: int = 0
 
     def add(self, ino: int, offset: int, data: bytes | None, length: int) -> None:
-        """Buffer a write (newest wins on exact/overlapping ranges)."""
+        """Buffer a write; the newest bytes win wherever ranges overlap.
+
+        Older entries the write overlaps are cut to the parts it leaves
+        uncovered (a head before it, a tail after it), so pending
+        entries never overlap: the read overlay and a flush may apply
+        them in any order, and ``used_bytes`` counts each byte once.
+        """
         pending = self._by_ino.setdefault(ino, [])
-        record = PendingWrite(offset=offset, data=data, length=length)
-        keys = [entry.offset for entry in pending]
-        index = bisect.bisect_left(keys, offset)
-        # Drop fully shadowed older entries around the insertion point.
-        while index < len(pending) and pending[index].offset < offset + length:
-            old = pending[index]
-            if old.offset >= offset and old.offset + old.length <= offset + length:
-                self.used_bytes -= old.length
-                pending.pop(index)
-            else:
-                index += 1
-        index = bisect.bisect_left([entry.offset for entry in pending], offset)
-        pending.insert(index, record)
-        self.used_bytes += length
+        end = offset + length
+        # Entries are disjoint and sorted, so their ends are sorted too:
+        # pending[first:last] are the entries the write overlaps.
+        first = bisect.bisect_right(pending, offset, key=lambda entry: entry.offset + entry.length)
+        last = bisect.bisect_left(pending, end, lo=first, key=lambda entry: entry.offset)
+        replacement = [PendingWrite(offset=offset, data=data, length=length)]
+        if last > first:
+            head, tail = pending[first], pending[last - 1]
+            if head.offset < offset:
+                replacement.insert(0, _part(head, head.offset, offset))
+            if tail.offset + tail.length > end:
+                replacement.append(_part(tail, end, tail.offset + tail.length))
+        self.used_bytes += sum(entry.length for entry in replacement) - sum(
+            entry.length for entry in pending[first:last]
+        )
+        pending[first:last] = replacement
         self.absorbed += 1
 
     def overlapping(self, ino: int, offset: int, length: int) -> list[PendingWrite]:

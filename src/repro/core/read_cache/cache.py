@@ -26,7 +26,7 @@ from repro.core.read_cache.slab import CacheItem, Slab, SlabAllocator, SlabClass
 from repro.core.read_cache.tempbuf import TempBufArea
 from repro.kernel.page_cache import PageCache
 from repro.sim.stats import HitMissCounter
-from repro.ssd.backends.base import BufferPlacement
+from repro.ssd.fabric import BufferPlacement
 from repro.ssd.hmb import HostMemoryBuffer
 
 

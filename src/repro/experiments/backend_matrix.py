@@ -1,7 +1,7 @@
 """Backend matrix: every evaluated system x interconnect backend.
 
-Re-runs the Fig. 8 request-size sweep on each registered backend
-(:mod:`repro.ssd.backends`) and reports how the paper's central
+Re-runs the Fig. 8 request-size sweep on each fabric
+(:mod:`repro.ssd.fabric`) and reports how the paper's central
 trade-off — the MMIO-vs-DMA crossover, where a per-request DMA-style
 pull becomes cheaper than host-initiated byte loads — moves with the
 fabric.  On PCIe Gen3 x4 the crossover sits near 1 KiB (8 B non-posted
@@ -27,7 +27,7 @@ from repro.analysis.metrics import ExperimentOutcome, SYSTEM_ORDER, WorkloadComp
 from repro.analysis.report import latency_table
 from repro.experiments.runner import run_trace_on
 from repro.experiments.scale import ExperimentScale, get_scale
-from repro.ssd.backends import available_backends
+from repro.ssd.fabric import available_backends
 from repro.workloads.synthetic import SyntheticConfig, size_sweep_trace
 
 TITLE = "Backend matrix: mean read latency by system x interconnect backend"

@@ -170,9 +170,6 @@ class MultiQueueNvme:
         self._by_tenant[tenant] = queue
         return queue
 
-    def queue(self, tenant: str) -> TenantQueue:
-        return self._by_tenant[tenant]
-
     @property
     def pending(self) -> int:
         return self._backlog.entries

@@ -81,8 +81,8 @@ class ServeConfig:
 
     tenants: tuple[TenantSpec, ...]
     system: str = "pipette"
-    #: Interconnect/placement backend the storage system's device runs
-    #: on (see :mod:`repro.ssd.backends`).  ``None`` inherits whatever
+    #: Host/device fabric the storage system's device runs on (see
+    #: :mod:`repro.ssd.fabric`).  ``None`` inherits whatever
     #: the supplied ``SimConfig`` selects (``pcie_gen3`` by default);
     #: a name overrides it, so the serving layer runs on any fabric.
     backend: str | None = None

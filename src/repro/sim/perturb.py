@@ -29,13 +29,14 @@ def _canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def result_digest(result: Any) -> str:
-    """sha256 of a run result's canonical JSON (``result.to_dict()``)."""
-    return _tree_digest(result.to_dict())
-
-
-def _tree_digest(tree: Any) -> str:
+def tree_digest(tree: Any) -> str:
+    """sha256 of a JSON tree's canonical form (keys sorted)."""
     return hashlib.sha256(_canonical(tree).encode("utf-8")).hexdigest()
+
+
+def result_digest(result: Any) -> str:
+    """:func:`tree_digest` of a run result's ``to_dict()``."""
+    return tree_digest(result.to_dict())
 
 
 def _leaves(tree: Any, path: str = "") -> Iterator[tuple[str, Any]]:
@@ -134,12 +135,12 @@ def perturbed(
     first drifted seed moved.
     """
     baseline = run(None).to_dict()
-    baseline_digest = _tree_digest(baseline)
+    baseline_digest = tree_digest(baseline)
     digests: dict[int, str] = {}
     first: LeafDrift | None = None
     for seed in seeds:
         tree = run(seed).to_dict()
-        digests[seed] = _tree_digest(tree)
+        digests[seed] = tree_digest(tree)
         if first is None and digests[seed] != baseline_digest:
             first = first_drift(seed, baseline, tree)
     return PerturbationReport(baseline_digest=baseline_digest, digests=digests, first=first)
@@ -151,4 +152,5 @@ __all__ = [
     "first_drift",
     "perturbed",
     "result_digest",
+    "tree_digest",
 ]

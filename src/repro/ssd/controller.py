@@ -27,7 +27,7 @@ from typing import Iterable
 
 from repro.config import SimConfig
 from repro.sim.trace import Tracer
-from repro.ssd.backends.base import BufferPlacement
+from repro.ssd.fabric import BufferPlacement
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.nand import FlashArray
 

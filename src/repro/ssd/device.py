@@ -27,8 +27,8 @@ from repro.config import SimConfig
 from repro.sim.resources import ResourceModel
 from repro.sim.stats import TrafficMeter
 from repro.sim.trace import Tracer
-from repro.ssd.backends import build_backend
 from repro.ssd.controller import SSDController
+from repro.ssd.fabric import build_fabric
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.hmb import HostMemoryBuffer
 from repro.ssd.nand import FlashArray
@@ -50,11 +50,10 @@ class SSDDevice:
         self.tracer = Tracer(self.resources)
         self.nand = FlashArray.create(config.ssd, config.timing)
         self.ftl = FlashTranslationLayer(nand=self.nand)
-        #: The interconnect/placement backend (``config.backend``);
+        #: The fabric's cost record and placement (``config.backend``);
         #: unknown names raise KeyError here, at construction.
-        self.backend = build_backend(config.backend, config.timing)
-        self.placement = self.backend.placement
-        self.link = PcieLink(interconnect=self.backend.interconnect)
+        interconnect, self.placement = build_fabric(config.backend, config.timing)
+        self.link = PcieLink(interconnect=interconnect)
         self.hmb = HostMemoryBuffer(size=config.ssd.mapping_region_bytes)
         self.controller = SSDController(
             config=config,

@@ -28,16 +28,16 @@ from dataclasses import dataclass, field
 
 from repro.sim.stats import TrafficMeter
 from repro.sim.trace import Tracer
-from repro.ssd.backends.base import Interconnect
+from repro.ssd.fabric import Interconnect
 
 
 @dataclass
 class PcieLink:
-    """Shared host/device link, costed by a pluggable interconnect.
+    """Shared host/device link, costed by a fabric's cost record.
 
     Despite the historical name, the link is fabric-agnostic: transfer
-    costs come from the injected :class:`Interconnect`, while traffic
-    metering and stage recording — which every fabric shares — stay
+    costs come from the :class:`Interconnect` record, while traffic
+    metering and stage recording, which every fabric shares, stay
     here.
     """
 
@@ -95,7 +95,7 @@ class PcieLink:
             return 0.0
         self.map_established = True
         self.mappings_created += 1
-        ns = self.interconnect.persistent_map_ns()
+        ns = self.interconnect.map_ns
         if ns:
             tracer.host("hmb_setup", ns, latency=False, charged=False)
         return ns
@@ -108,7 +108,7 @@ class PcieLink:
         paper attributes to mapping on every access.  A coherent fabric
         has no mapping to set up: the pull degenerates to link time.
         """
-        map_ns = self.interconnect.per_access_map_ns()
+        map_ns = self.interconnect.map_ns
         if map_ns:
             self.mappings_created += 1
             tracer.host("dma_map", map_ns)
@@ -124,7 +124,7 @@ class PcieLink:
         latency path.
         """
         interconnect = self.interconnect
-        fault = interconnect.byte_fault_ns()
+        fault = interconnect.fault_ns
         if fault:
             self.faults_taken += 1
             tracer.host("mmio_fault", fault)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel.vfs import O_RDWR
 from repro.system import available_systems, build_system
 
 from tests.conftest import make_open_file, small_sim_config
@@ -85,6 +86,41 @@ def test_newest_write_wins_on_same_range(system):
     assert system.read(fd, 100, 4) == b"new!"
     # The shadowed entry was dropped from the buffer.
     assert system.write_buffer.used_bytes == 4
+
+
+#: An older write of 20 bytes at 4085 (across a page boundary), then a
+#: newer one: (offset, length) starting before, at and after it.
+OLDER = (4085, 20)
+
+
+@pytest.mark.parametrize(
+    "newer",
+    [(4081, 10), (4081, 30), (4085, 8), (4085, 28), (4090, 5), (4090, 25)],
+    ids=[
+        "before-shorter",
+        "before-longer",
+        "at-shorter",
+        "at-longer",
+        "after-shorter",
+        "after-longer",
+    ],
+)
+def test_newer_write_wins_where_it_overlaps(system, newer):
+    fd = make_open_file(system)
+    window = (4075, 50)
+    reference = bytearray(system.read(fd, *window))
+    for (offset, length), fill in ((OLDER, 0xAA), (newer, 0xBB)):
+        payload = bytes([fill]) * length
+        system.write(fd, offset, payload)
+        reference[offset - window[0] : offset - window[0] + length] = payload
+    assert system.read(fd, *window) == bytes(reference)
+    pending = system.write_buffer.overlapping(system.fs.lookup("/data/file.bin").ino, *window)
+    for left, right in zip(pending, pending[1:]):
+        assert left.offset + left.length <= right.offset
+    assert system.write_buffer.used_bytes == sum(entry.length for entry in pending)
+    system.fsync(fd)
+    block_fd = system.open("/data/file.bin", O_RDWR)
+    assert system.read(block_fd, *window) == bytes(reference)
 
 
 def test_write_invalidates_read_cache(system):

@@ -14,7 +14,6 @@ Regenerate (only for an intended behaviour change) with
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pathlib
 import random
@@ -26,6 +25,7 @@ from repro.cluster.faults import DIE_SLOWDOWN, LINK_DEGRADE, SERVER_STALL
 from repro.config import MIB
 from repro.serve.qos import SHED, TenantQoS
 from repro.serve.server import ServeConfig, TenantSpec, serve
+from repro.sim.perturb import result_digest, tree_digest
 from repro.sim.queueing import PipelineSimulator, RequestDemand
 from repro.workloads.socialgraph import SocialGraphConfig, social_graph_trace
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
@@ -33,11 +33,6 @@ from repro.workloads.ycsb import YcsbConfig, ycsb_trace
 from tests.conftest import small_sim_config
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / "golden_runs.json"
-
-
-def _sha256(payload: object) -> str:
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _synthetic(seed: int):
@@ -138,23 +133,21 @@ def _pipeline_digest() -> str:
     result = PipelineSimulator(channels=8, host_servers=4).run(
         demands, 16, keep_latencies=True
     )
-    return _sha256(result.latencies_ns)
+    return tree_digest(result.latencies_ns)
 
 
 #: Run name -> digest of that run on the small test system config.
 RUNS = {
-    "serve-closed-wrr": lambda: _sha256(serve(_serve_closed_wrr(), small_sim_config()).to_dict()),
-    "serve-open-bucket-shed": lambda: _sha256(
-        serve(_serve_open_bucket_shed(), small_sim_config()).to_dict()
+    "serve-closed-wrr": lambda: result_digest(serve(_serve_closed_wrr(), small_sim_config())),
+    "serve-open-bucket-shed": lambda: result_digest(
+        serve(_serve_open_bucket_shed(), small_sim_config())
     ),
-    "serve-open-limited-shed": lambda: _sha256(
-        serve(_serve_open_limited_shed(), small_sim_config()).to_dict()
+    "serve-open-limited-shed": lambda: result_digest(
+        serve(_serve_open_limited_shed(), small_sim_config())
     ),
     **{
         f"cluster-{policy}-faults": (
-            lambda policy=policy: _sha256(
-                run_cluster(_cluster(policy), small_sim_config()).to_dict()
-            )
+            lambda policy=policy: result_digest(run_cluster(_cluster(policy), small_sim_config()))
         )
         for policy in ("primary", "least_outstanding", "hedged")
     },

@@ -66,7 +66,8 @@ def test_block_read_latency_components():
         + timing.channel_xfer_page_ns
         + timing.block_page_penalty_ns
     )
-    expected = expected_nand + timing.pcie_transfer_ns(4096) + timing.completion_ns
+    xfer = timing.pcie_tlp_ns + 4096 / timing.pcie_bw_bytes_per_ns
+    expected = expected_nand + xfer + timing.completion_ns
     assert trace.latency_ns() == pytest.approx(expected)
 
 
@@ -100,7 +101,8 @@ def test_block_write_ack_from_buffer():
     with root_trace(device.tracer) as trace:
         device.block_write([(5, bytes(4096))])
     # Acked after transfer + completion; NAND program is background.
-    assert trace.latency_ns() == pytest.approx(timing.pcie_transfer_ns(4096) + timing.completion_ns)
+    xfer = timing.pcie_tlp_ns + 4096 / timing.pcie_bw_bytes_per_ns
+    assert trace.latency_ns() == pytest.approx(xfer + timing.completion_ns)
     assert device.resources.nand_total_ns > 0
 
 

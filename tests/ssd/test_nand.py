@@ -109,15 +109,11 @@ def test_cell_type_read_latency(nand, expected_read):
 
 
 def test_fig5_spec_defaults():
-    """Figure 5: the YS9203 platform specification is the default."""
+    """Figure 5: the YS9203 rows the model reads are the defaults (the
+    rest are checked in tests/experiments/test_fig5.py)."""
     spec = SSDSpec()
-    assert spec.host_interface == "PCIe Gen3 x4"
-    assert spec.protocol == "NVMe 1.2"
     assert spec.channels == 8
-    assert spec.ways == 8
-    assert spec.cores == 2
     assert spec.mapping_region_bytes == 64 * MIB
-    assert spec.max_ddr_bytes == 4 * 1024 * MIB
     assert spec.capacity_bytes == 477_000_000_000
 
 

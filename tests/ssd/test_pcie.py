@@ -5,7 +5,7 @@ import pytest
 from repro.config import TimingModel
 from repro.sim.resources import ResourceModel
 from repro.sim.trace import Tracer
-from repro.ssd.backends.pcie_gen3 import PcieGen3Interconnect
+from repro.ssd.fabric import pcie_interconnect
 from repro.ssd.pcie import PcieLink
 
 
@@ -16,7 +16,7 @@ def timing():
 
 @pytest.fixture
 def link(timing):
-    return PcieLink(interconnect=PcieGen3Interconnect(timing))
+    return PcieLink(interconnect=pcie_interconnect(timing))
 
 
 @pytest.fixture
