@@ -46,14 +46,12 @@ def save_report(results_dir: pathlib.Path, name: str, report: str) -> None:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
-    """Report the simlint engine's cost on the full tree.
+    """Write this session's bench snapshots and fold them into the trajectory.
 
-    Per-rule walk time over ``src/repro`` (parsing is measured
-    separately) so a slower rule shows up in bench output, not just as
-    a slower CI lint job.
+    A session that filled neither :data:`BACKEND_MATRIX_QPS` nor
+    :data:`CLUSTER_BENCH` (the hot-path microbenches alone, say) writes
+    nothing, so ``results/`` stays as committed.
     """
-    import time
-
     if BACKEND_MATRIX_QPS:
         RESULTS_DIR.mkdir(exist_ok=True)
         payload = {"virtual_requests_per_sec": dict(sorted(BACKEND_MATRIX_QPS.items()))}
@@ -82,60 +80,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
             )
         terminalreporter.write_line("  -> results/BENCH_cluster.json")
 
-    from repro.lint.context import ModuleContext
-    from repro.lint.engine import iter_python_files
-    from repro.lint.rules.base import RULES
-
-    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-    if not src.is_dir():
+    if not (BACKEND_MATRIX_QPS or CLUSTER_BENCH):
         return
-
-    # Wall-clock here measures the lint engine itself, not simulated
-    # behaviour.
-    started = time.perf_counter()  # simlint: allow[virtual-time-purity]
-    contexts = []
-    for path in iter_python_files([src]):
-        try:
-            contexts.append(ModuleContext.parse(str(path), path.read_text()))
-        except SyntaxError:
-            continue
-    parse_s = time.perf_counter() - started  # simlint: allow[virtual-time-purity]
-
-    rule_times: list[tuple[str, float]] = []
-    for rule_id, rule in sorted(RULES.items()):
-        began = time.perf_counter()  # simlint: allow[virtual-time-purity]
-        for ctx in contexts:
-            list(rule.check(ctx))
-        rule_times.append((rule_id, time.perf_counter() - began))  # simlint: allow[virtual-time-purity]
-
-    writer = terminalreporter
-    writer.section("simlint rule-walk time (src/repro)")
-    writer.write_line(
-        f"parse: {parse_s * 1000:.1f} ms "
-        f"({len(contexts)} modules)"
-    )
-    for rule_id, elapsed in sorted(rule_times, key=lambda item: -item[1]):
-        writer.write_line(f"  {rule_id:<28} {elapsed * 1000:7.1f} ms")
-    total = parse_s + sum(elapsed for _, elapsed in rule_times)
-    writer.write_line(f"  {'total':<28} {total * 1000:7.1f} ms")
-
-    # The lint datapoint of the perf trajectory (EXPERIMENTS.md):
-    # end-to-end files/sec over the whole tree, per-rule breakdown.
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "modules": len(contexts),
-        "rules_walked": len(rule_times),
-        "parse_ms": round(parse_s * 1000, 3),
-        "total_ms": round(total * 1000, 3),
-        "files_per_sec": round(len(contexts) / total, 1) if total else None,
-        "rule_ms": {
-            rule_id: round(elapsed * 1000, 3) for rule_id, elapsed in rule_times
-        },
-    }
-    (RESULTS_DIR / "BENCH_simlint.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    writer.write_line("  -> results/BENCH_simlint.json")
 
     # Fold every BENCH_*.json snapshot into the per-PR trajectory
     # series, so this session's numbers become a diffable datapoint.
@@ -143,7 +89,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
 
     entry = fold()
     if entry is not None:
-        writer.write_line(
+        terminalreporter.write_line(
             f"  -> results/TRAJECTORY.json (label {entry['label']}, "
             f"{len(entry['bench'])} bench areas)"
         )

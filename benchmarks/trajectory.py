@@ -1,11 +1,14 @@
 """Fold the per-area bench snapshots into one per-PR trajectory.
 
-Every benchmark session overwrites ``results/BENCH_<area>.json`` with
-the *current* tree's numbers — a snapshot with no memory.  This module
-appends those snapshots to ``results/TRAJECTORY.json`` as one labelled
-entry per PR, so the perf trajectory (simlint walk cost, per-backend
-serving throughput, cluster events/s) is a first-class artifact the
-next session can diff against instead of re-deriving from git history.
+A benchmark session that runs the backend matrix or the cluster bench
+overwrites ``results/BENCH_<area>.json`` with the *current* tree's
+numbers — a snapshot with no memory.  This module appends those
+snapshots to ``results/TRAJECTORY.json`` as one labelled entry per PR,
+so the perf trajectory (per-backend serving throughput, cluster
+events/s) is a first-class artifact the next session can diff against
+instead of re-deriving from git history.  The ``pr8`` and ``pr13``
+entries also hold a third area, the walk time of a static checker that
+has since been deleted; they are kept as history.
 
 Labels default to ``pr<N>`` where ``N`` is the highest ``PR <N>`` that
 heads an entry of ``CHANGES.md``, which keeps the series keyed to the
@@ -15,7 +18,8 @@ Re-folding under an existing label replaces that entry in place, so
 re-running benchmarks within one PR never duplicates a point.
 
 Run directly (``python benchmarks/trajectory.py [--label pr9]``) or let
-the benchmark harness fold automatically at the end of a session.
+the benchmark harness fold automatically at the end of a session that
+wrote a snapshot.
 """
 
 from __future__ import annotations

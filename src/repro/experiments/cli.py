@@ -138,13 +138,14 @@ def main(argv: list[str] | None = None) -> int:
     report_chunks: list[str] = []
     for name in requested:
         # Wall-clock here is progress reporting for the human running
-        # the CLI; no simulated result depends on it.
-        started = time.time()  # simlint: allow[virtual-time-purity]
+        # the CLI; no simulated result depends on it.  perf_counter is
+        # monotonic, so an NTP step cannot skew the elapsed time.
+        started = time.perf_counter()
         if args.perturb and name in PERTURBABLE:
             outcome = EXPERIMENTS[name](scale, perturb=True)
         else:
             outcome = EXPERIMENTS[name](scale)
-        elapsed = time.time() - started  # simlint: allow[virtual-time-purity]
+        elapsed = time.perf_counter() - started
         print(outcome.report)
         print(f"[{name} done in {elapsed:.1f}s wall clock]\n")
         report_chunks.append(outcome.report)

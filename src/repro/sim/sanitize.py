@@ -1,8 +1,9 @@
 """Runtime sanitizer: the event loop's lost-wakeup check.
 
-The static rules in :mod:`repro.lint` catch code that *looks* like it
-breaks the simulator's discipline; this module switches on the one
-runtime check that is too costly to run always.  When sanitizing is
+The golden tests run every pinned digest and run under a guard that
+fails on a wall-clock read or a global ``random`` draw
+(``tests/conftest.py``'s ``pure_simulation``); this module switches on
+the one runtime check that is too costly to run always.  When sanitizing is
 active, the event loop (:class:`repro.serve.engine.EventLoop`) checks
 at every quiescent timestamp that no settler that is not woken still
 holds work (a lost wakeup), and raises :class:`SanitizeError` naming

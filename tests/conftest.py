@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -73,3 +75,45 @@ def root_trace(tracer: Tracer) -> Iterator[StageTrace]:
         yield trace
     finally:
         tracer.end()
+
+
+#: The ``time`` functions a simulated call must never read.
+WALL_CLOCKS = (
+    "time",
+    "time_ns",
+    "monotonic",
+    "monotonic_ns",
+    "perf_counter",
+    "perf_counter_ns",
+)
+
+
+def _wall_clock_read(*args, **kwargs):
+    raise AssertionError("wall clock read inside a simulated call")
+
+
+@contextmanager
+def pure_simulation() -> Iterator[None]:
+    """Fail the block if it reads a wall clock or moves the global RNG.
+
+    Every result is a function of config and seed on the virtual clock,
+    so a simulated call may not read ``time.time``, ``monotonic`` or
+    ``perf_counter`` (or their ``_ns`` forms): each raises while the
+    block runs.  It may not touch the module-level ``random`` stream
+    either: a reseed or a draw changes ``random.getstate()``, which is
+    compared when the block exits.
+
+    Scope it to one simulated call, not a session: hypothesis and
+    pytest use the global stream and the clock between calls.  A clock
+    bound at import (``from time import monotonic``) escapes the patch.
+    """
+    saved = {name: getattr(time, name) for name in WALL_CLOCKS}
+    state = random.getstate()
+    for name in WALL_CLOCKS:
+        setattr(time, name, _wall_clock_read)
+    try:
+        yield
+    finally:
+        for name, clock in saved.items():
+            setattr(time, name, clock)
+    assert random.getstate() == state, "global random state changed inside a simulated call"

@@ -6,7 +6,9 @@ backend, captured from the pre-refactor code (before the
 interconnect/placement backends existed), and under ``backends`` the
 same for ``cxl_lmb`` and ``nvme_fdp``.  Any bit of drift in stage
 recording, timing arithmetic, placement decisions or iteration order
-fails here.
+fails here.  Each digest is computed under
+:func:`tests.conftest.pure_simulation`, so a wall-clock read or a
+global ``random`` draw inside a simulated call fails here too.
 
 Regenerate (only for an intended behaviour change) with
 ``PYTHONPATH=src python -m tests.integration.test_golden_digest``.
@@ -21,6 +23,7 @@ import pytest
 
 from repro.analysis.digest import all_digests, digest_config, system_digest
 from repro.system import available_systems
+from tests.conftest import pure_simulation
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -34,7 +37,8 @@ def test_golden_file_covers_every_registered_system():
 def test_pcie_gen3_matches_pre_refactor_seed(name):
     config = digest_config()
     assert config.backend == "pcie_gen3"
-    digest = system_digest(name, config, seed=GOLDEN["seed"])
+    with pure_simulation():
+        digest = system_digest(name, config, seed=GOLDEN["seed"])
     assert digest == GOLDEN["digests"][name], (
         f"{name} diverged from the pre-refactor golden digest on the "
         f"pcie_gen3 backend — the refactor changed observable behaviour"
@@ -56,7 +60,8 @@ def test_backend_pins_cover_every_registered_system():
 def test_new_backends_are_deterministic(backend, name):
     """Each alternative fabric reproduces the digest pinned for it:
     the same config gives the same digest across runs and versions."""
-    digest = system_digest(name, digest_config(backend=backend), seed=GOLDEN["seed"])
+    with pure_simulation():
+        digest = system_digest(name, digest_config(backend=backend), seed=GOLDEN["seed"])
     assert digest == GOLDEN["backends"][backend][name], (
         f"{name} on {backend} diverged from its pinned digest: a change "
         "moved this fabric's costs or placement accounting"

@@ -6,7 +6,10 @@ per replica policy with all three fault kinds active, and one seeded
 :class:`~repro.sim.queueing.PipelineSimulator` replay.  A refactor of
 the stage pipeline, the server core or the event loop must keep every
 digest: any drift in dispatch order, stage keys, settle order or event
-count changes a latency or a counter somewhere and fails here.
+count changes a latency or a counter somewhere and fails here.  Each
+run, workload generation included, executes under
+:func:`tests.conftest.pure_simulation`: a wall-clock read or a global
+``random`` draw or reseed fails it.
 
 Regenerate (only for an intended behaviour change) with
 ``PYTHONPATH=src python -m tests.integration.test_golden_runs``.
@@ -30,7 +33,7 @@ from repro.sim.queueing import PipelineSimulator, RequestDemand
 from repro.workloads.socialgraph import SocialGraphConfig, social_graph_trace
 from repro.workloads.synthetic import SyntheticConfig, synthetic_trace
 from repro.workloads.ycsb import YcsbConfig, ycsb_trace
-from tests.conftest import small_sim_config
+from tests.conftest import pure_simulation, small_sim_config
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / "golden_runs.json"
 
@@ -172,7 +175,9 @@ def test_limited_shed_run_both_delays_and_sheds():
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden_digest(name):
-    assert RUNS[name]() == _golden()[name], (
+    with pure_simulation():
+        digest = RUNS[name]()
+    assert digest == _golden()[name], (
         f"{name} diverged from its golden run digest: the change altered "
         "dispatch order, stage keys, settle order or the event count"
     )

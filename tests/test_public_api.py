@@ -17,7 +17,6 @@ SUBPACKAGES = (
     "workloads",
     "analysis",
     "experiments",
-    "lint",
 )
 
 #: Imports each subpackage from a clean ``sys.modules`` under a stub

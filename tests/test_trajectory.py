@@ -39,21 +39,21 @@ def test_default_label_missing_changes_is_pr0(tmp_path: Path) -> None:
 
 
 def test_collect_benches_skips_torn_writes(tmp_path: Path) -> None:
-    _write_bench(tmp_path, "simlint", {"total_ms": 12.5})
+    _write_bench(tmp_path, "backend_matrix", {"virtual_requests_per_sec": 12.5})
     (tmp_path / "BENCH_broken.json").write_text("{not json")
     benches = collect_benches(tmp_path)
-    assert benches == {"simlint": {"total_ms": 12.5}}
+    assert benches == {"backend_matrix": {"virtual_requests_per_sec": 12.5}}
 
 
 def test_fold_appends_labelled_entry(tmp_path: Path) -> None:
     results = tmp_path / "results"
-    _write_bench(results, "simlint", {"total_ms": 10.0})
+    _write_bench(results, "backend_matrix", {"virtual_requests_per_sec": 10.0})
     _write_bench(results, "cluster", {"primary": {"virtual_qps": 1.0}})
     trajectory = results / "TRAJECTORY.json"
     entry = fold(label="pr9", results_dir=results, trajectory_path=trajectory)
     assert entry is not None
     assert entry["label"] == "pr9"
-    assert set(entry["bench"]) == {"simlint", "cluster"}
+    assert set(entry["bench"]) == {"backend_matrix", "cluster"}
     loaded = load_trajectory(trajectory)
     assert loaded["version"] == 1
     assert [item["label"] for item in loaded["series"]] == ["pr9"]
@@ -62,13 +62,13 @@ def test_fold_appends_labelled_entry(tmp_path: Path) -> None:
 def test_refold_replaces_same_label_in_place(tmp_path: Path) -> None:
     results = tmp_path / "results"
     trajectory = results / "TRAJECTORY.json"
-    _write_bench(results, "simlint", {"total_ms": 10.0})
+    _write_bench(results, "backend_matrix", {"virtual_requests_per_sec": 10.0})
     fold(label="pr9", results_dir=results, trajectory_path=trajectory)
-    _write_bench(results, "simlint", {"total_ms": 20.0})
+    _write_bench(results, "backend_matrix", {"virtual_requests_per_sec": 20.0})
     fold(label="pr9", results_dir=results, trajectory_path=trajectory)
     series = load_trajectory(trajectory)["series"]
     assert len(series) == 1
-    assert series[0]["bench"]["simlint"]["total_ms"] == 20.0
+    assert series[0]["bench"]["backend_matrix"]["virtual_requests_per_sec"] == 20.0
     # A new label extends the series instead.
     fold(label="pr10", results_dir=results, trajectory_path=trajectory)
     assert [item["label"] for item in load_trajectory(trajectory)["series"]] == [
@@ -87,8 +87,37 @@ def test_fold_without_snapshots_is_a_noop(tmp_path: Path) -> None:
 
 def test_corrupt_trajectory_resets_cleanly(tmp_path: Path) -> None:
     results = tmp_path / "results"
-    _write_bench(results, "simlint", {"total_ms": 10.0})
+    _write_bench(results, "backend_matrix", {"virtual_requests_per_sec": 10.0})
     trajectory = results / "TRAJECTORY.json"
     trajectory.write_text("[]")  # wrong shape: not a {series: [...]} dict
     fold(label="pr9", results_dir=results, trajectory_path=trajectory)
     assert [item["label"] for item in load_trajectory(trajectory)["series"]] == ["pr9"]
+
+
+class _Reporter:
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+
+    def section(self, title: str) -> None:
+        self.lines.append(title)
+
+    def write_line(self, line: str) -> None:
+        self.lines.append(line)
+
+
+def test_session_without_snapshots_leaves_results_alone(tmp_path: Path, monkeypatch) -> None:
+    # A benchmarks session that fills neither snapshot (the hot-path
+    # microbenches alone) writes no BENCH file and folds nothing.
+    import benchmarks.conftest as bench_conftest
+    import benchmarks.trajectory as trajectory
+
+    monkeypatch.setattr(bench_conftest, "RESULTS_DIR", tmp_path)
+    monkeypatch.setattr(bench_conftest, "BACKEND_MATRIX_QPS", {})
+    monkeypatch.setattr(bench_conftest, "CLUSTER_BENCH", {})
+    folds = []
+    monkeypatch.setattr(trajectory, "fold", lambda **kwargs: folds.append(kwargs))
+    reporter = _Reporter()
+    bench_conftest.pytest_terminal_summary(reporter, 0, None)
+    assert folds == []
+    assert reporter.lines == []
+    assert list(tmp_path.iterdir()) == []
